@@ -26,6 +26,10 @@ class InsufficientOrderError(ValueError):
     """Curve order too low for the requested boundary interpolation."""
 
 
+class BoundaryRankError(RuntimeError):
+    """Boundary-value matrix lost rank (numerical failure)."""
+
+
 def _check_order(p: int) -> None:
     if not isinstance(p, (int, np.integer)) or p < 1:
         raise ValueError(f"order must be an integer >= 1, got {p}")
@@ -212,7 +216,8 @@ def boundary_matrix(p: int, gamma: int, T: float) -> np.ndarray:
         colsT.append(Hk[:, p].copy())
         Hk = Hk @ H
     D = np.column_stack(cols0 + colsT)
-    assert np.linalg.matrix_rank(D) == 2 * gamma, "boundary matrix lost rank"
+    if np.linalg.matrix_rank(D) != 2 * gamma:
+        raise BoundaryRankError(f"boundary matrix of order {p} lost rank")
     return D
 
 
@@ -266,15 +271,6 @@ def state_matrix(points: np.ndarray, gamma: int, T: float) -> np.ndarray:
     return np.vstack(blocks)
 
 
-def commutation_matrix(n: int, m: int) -> np.ndarray:
-    """K with K @ vec(A^T) = vec(A) for any n x m matrix A."""
-    K = np.zeros((n * m, n * m))
-    for i in range(n):
-        for j in range(m):
-            K[i + n * j, j + m * i] = 1.0
-    return K
-
-
 def stacked_derivative_vec(p: int, T: float, m: int, n_blocks: int) -> np.ndarray:
     """Vectorized map for vertically stacked derivative blocks.
 
@@ -303,15 +299,13 @@ class VectorizationMaps:
 
     H_vec: np.ndarray  # n(p+1) x m(p+1): vec(points) -> vec(state matrix)
     D_vec: np.ndarray  # 2n x m(p+1): vec(points) -> [x0; xT]
-    K_comm: np.ndarray  # commutation matrix used in the stacked construction
 
 
 def vectorization_maps(p: int, gamma: int, m: int, T: float) -> VectorizationMaps:
-    """Construct (H_vec, D_vec, K_comm) for order p, chain depth gamma."""
+    """Construct (H_vec, D_vec) for order p, chain depth gamma."""
     if m < 1:
         raise ValueError(f"output dimension must be >= 1, got {m}")
     H_vec = stacked_derivative_vec(p, T, m, gamma)
     D = boundary_matrix(p, gamma, T)
     D_vec = np.kron(D.T, np.eye(m))
-    K_comm = commutation_matrix(gamma, p + 1)
-    return VectorizationMaps(H_vec=H_vec, D_vec=D_vec, K_comm=K_comm)
+    return VectorizationMaps(H_vec=H_vec, D_vec=D_vec)

@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 import time
 from pathlib import Path
@@ -22,6 +21,7 @@ import numpy as np
 
 from . import artifacts
 from .bezier import (
+    BoundaryRankError,
     boundary_matrix,
     derivative_map,
     diff_matrix,
@@ -30,7 +30,7 @@ from .bezier import (
     vectorization_maps,
 )
 from .constraints import InfeasibleCertificateError, InfeasibleReductionError
-from .lp import IterationLimitError
+from .lp import IterationLimitError, WitnessError
 from .models import (
     ConstraintSet,
     SingularActuationError,
@@ -165,12 +165,20 @@ def _finish(out: Path, cfg: dict, command: str, seed, files: list[str], t0: floa
         "command": command,
         "config": cfg,
         "seed": seed,
-        "threads": os.environ.get("BEZREACH_THREADS", ""),
         "artifacts": {name: artifacts.sha256_file(out / name) for name in sorted(files)},
     }
     if extra:
         meta.update(extra)
     artifacts.write_json(out / "metadata.json", meta)
+
+
+def _write_rollout_csv(out: Path, model, res) -> None:
+    artifacts.write_csv(
+        out / "rollout.csv",
+        ["t"] + [f"x{i}" for i in range(model.n)] + [f"u{j}" for j in range(model.m)]
+        + ["state_margin", "input_margin"],
+        np.column_stack([res.t, res.x_cl.T, res.u.T, res.state_margin, res.input_margin]),
+    )
 
 
 def cmd_matrices(cfg: dict, out: Path, seed: int) -> int:
@@ -316,12 +324,7 @@ def cmd_plan(cfg: dict, out: Path, seed: int) -> int:
         ["t"] + [f"x{i}" for i in range(model.n)] + [f"q{j}" for j in range(model.m)],
         np.column_stack([ts, states.T, qg.T]),
     )
-    artifacts.write_csv(
-        out / "rollout.csv",
-        ["t"] + [f"x{i}" for i in range(model.n)] + [f"u{j}" for j in range(model.m)]
-        + ["state_margin", "input_margin"],
-        np.column_stack([res.t, res.x_cl.T, res.u.T, res.state_margin, res.input_margin]),
-    )
+    _write_rollout_csv(out, model, res)
     artifacts.write_json(out / "summary.json", {
         "path": [int(i) for i in path],
         "path_edges": len(path) - 1,
@@ -361,12 +364,7 @@ def cmd_simulate(cfg: dict, out: Path, seed: int) -> int:
     )
     report = monitor(res, cs)
     files = ["rollout.csv", "summary.json"]
-    artifacts.write_csv(
-        out / "rollout.csv",
-        ["t"] + [f"x{i}" for i in range(model.n)] + [f"u{j}" for j in range(model.m)]
-        + ["state_margin", "input_margin"],
-        np.column_stack([res.t, res.x_cl.T, res.u.T, res.state_margin, res.input_margin]),
-    )
+    _write_rollout_csv(out, model, res)
     artifacts.write_json(out / "summary.json", {
         "monitor_passed": report.passed,
         "min_state_margin": report.min_state_margin,
@@ -414,13 +412,14 @@ def main(argv=None) -> int:
     except (InfeasibleCertificateError, InfeasibleReductionError) as exc:
         print(f"planning infeasible: {exc}", file=sys.stderr)
         return EXIT_INFEASIBLE
+    # Before ValueError: np.linalg.LinAlgError subclasses it.
+    except (DivergenceError, IterationLimitError, WitnessError, BoundaryRankError,
+            SingularActuationError, np.linalg.LinAlgError) as exc:
+        print(f"numerical failure: {exc}", file=sys.stderr)
+        return EXIT_NUMERIC
     except ValueError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    except (DivergenceError, IterationLimitError, SingularActuationError,
-            np.linalg.LinAlgError) as exc:
-        print(f"numerical failure: {exc}", file=sys.stderr)
-        return EXIT_NUMERIC
 
 
 if __name__ == "__main__":

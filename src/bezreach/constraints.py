@@ -20,9 +20,6 @@ import numpy as np
 from .bezier import split_matrices, stacked_derivative_vec
 from .models import ConstraintSet, PlanningModel, TrackingCertificate
 
-_BISECT_TOL = 1e-9
-
-
 class InfeasibleCertificateError(ValueError):
     """Tracker error bound leaves no input authority."""
 
@@ -139,27 +136,7 @@ def _box_vertices(s_max: np.ndarray) -> np.ndarray:
     return np.array([[0.0, 0.0], [s1, 0.0], [0.0, s2], [s1, s2]])
 
 
-def _cut_polygon_vertices(s_max: np.ndarray, c: np.ndarray, delta: float) -> np.ndarray:
-    """Vertices of {0 <= s <= s_max, c^T s <= delta} (a 2-D polygon)."""
-    verts = [v for v in _box_vertices(s_max) if c @ v <= delta + 1e-15]
-    # Edge intersections with the cut line.
-    edges = [
-        (np.array([0.0, 0.0]), np.array([s_max[0], 0.0])),
-        (np.array([0.0, 0.0]), np.array([0.0, s_max[1]])),
-        (np.array([s_max[0], 0.0]), s_max.astype(float)),
-        (np.array([0.0, s_max[1]]), s_max.astype(float)),
-    ]
-    for a, b in edges:
-        da, db = c @ a - delta, c @ b - delta
-        if da * db < 0:
-            t = da / (da - db)
-            verts.append(a + t * (b - a))
-    return np.array(verts) if verts else np.empty((0, 2))
-
-
 def _quad_max(M: np.ndarray, N: np.ndarray, verts: np.ndarray) -> float:
-    if verts.size == 0:
-        return -np.inf
     return float(np.max(np.einsum("ij,jk,ik->i", verts, M, verts) + verts @ N))
 
 
@@ -175,31 +152,48 @@ def _level_set_radius(
     quadratic bound s^T M_hat s + N^T s <= b.
 
     With the state term present the containment must survive an
-    unbounded linear offset, which collapses to a vertex maximum; the
-    pure-norm case is solved by bisection over the cut polygon.
+    unbounded linear offset, which collapses to a vertex maximum.  The
+    pure-norm case has a closed form: on the cut line c^T s = delta,
+    q(s) = delta + s^T M_hat (s - s_max) <= delta, and q is convex and
+    nondecreasing in each coordinate on the box, so its maximum over the
+    cut polygon sits at one of the two cut-segment endpoints.  Each
+    endpoint slides along a box axis, then along the far box edge, so
+    the radius is the first crossing of b by at most four scalar
+    quadratics in delta.
     """
-    verts = _box_vertices(s_max)
+    # Requires M_hat >= 0 entrywise and N >= 0, which lift_rows guarantees
+    # (nonnegative row coefficients and Lipschitz constants, and the PSD
+    # part of a 2x2 matrix with nonnegative entries).
     if not a1_zero:
-        worst = _quad_max(M_hat, N - c, verts)
+        worst = _quad_max(M_hat, N - c, _box_vertices(s_max))
         return b - worst
-
-    def holds(delta: float) -> bool:
-        poly = _cut_polygon_vertices(s_max, c, delta)
-        return _quad_max(M_hat, N, poly) <= b + 1e-12
-
-    cap = float(c @ s_max)
-    if holds(cap):
-        return cap
-    if not holds(0.0):
+    if b < 0.0:
         return -np.inf
-    lo, hi = 0.0, cap
-    while hi - lo > _BISECT_TOL:
-        mid = 0.5 * (lo + hi)
-        if holds(mid):
-            lo = mid
-        else:
-            hi = mid
-    return lo
+    cap = float(c @ s_max)
+    if _quad_max(M_hat, N, s_max[None, :]) <= b:
+        return cap
+    radius = cap
+    for i, j in ((0, 1), (1, 0)):
+        corner = np.zeros(2)
+        corner[i] = s_max[i]
+        # (start point, moving coordinate, delta at the start point)
+        for u, k, lo in ((np.zeros(2), i, 0.0), (corner, j, c[i] * s_max[i])):
+            if c[k] <= 0.0:
+                continue  # the endpoint does not move along this piece
+            # s = u + t / c_k e_k with t = delta - lo in [0, c_k s_max_k], and
+            # q(s) - b = alpha t^2 + beta t + gamma.
+            Mu = M_hat @ u
+            alpha = M_hat[k, k] / c[k] ** 2
+            beta = (2.0 * Mu[k] + N[k]) / c[k]
+            gamma = float(u @ Mu + N @ u) - b
+            span = c[k] * s_max[k]
+            if alpha * span * span + beta * span + gamma <= 0.0:
+                continue  # the endpoint stays inside the level set
+            # Larger root in t, in the form free of cancellation.
+            den = beta + np.sqrt(max(beta * beta - 4.0 * alpha * gamma, 0.0))
+            radius = min(radius, lo + (-2.0 * gamma / den if den > 0.0 else 0.0))
+            break
+    return radius
 
 
 def _expand_norm_row(

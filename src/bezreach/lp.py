@@ -19,12 +19,21 @@ class IterationLimitError(RuntimeError):
     """Simplex failed to terminate within the pivot budget."""
 
 
+class WitnessError(RuntimeError):
+    """The simplex returned a point outside the polytope (numerical failure)."""
+
+
 @dataclass(frozen=True)
 class Polytope:
-    """Halfspace set {x | A x <= b}."""
+    """Halfspace set {x | A x <= b}.
+
+    `vertices` holds the ccw polygon of a bounded 2-D set (no rows when
+    the set is empty) as computed by `reduce_2d`; None when unknown.
+    """
 
     A: np.ndarray
     b: np.ndarray
+    vertices: np.ndarray | None = None
 
     def __post_init__(self):
         A = np.atleast_2d(np.asarray(self.A, dtype=float))
@@ -161,7 +170,8 @@ def feasible(poly: Polytope, tol: float = TOL) -> np.ndarray | None:
         return None
     T, basis, _, _ = out
     x = _extract(T, basis, poly.dim)
-    assert np.all(poly.A @ x <= poly.b + max(tol, 1e-7)), "witness violates constraints"
+    if not np.all(poly.A @ x <= poly.b + max(tol, 1e-7)):
+        raise WitnessError("simplex witness violates the constraints")
     return x
 
 
@@ -202,12 +212,18 @@ def _clip(verts: np.ndarray, a: np.ndarray, rhs: float) -> np.ndarray:
         if s[i] <= 0.0:
             out.append(verts[i])
         if (s[i] < 0.0) != (s[j] < 0.0) and abs(s[i] - s[j]) > 1e-300:
-            t = s[i] / (s[i] - s[j])
-            out.append(verts[i] + t * (verts[j] - verts[i]))
+            d = verts[j] - verts[i]
+            x = verts[i] + (s[i] / (s[i] - s[j])) * d
+            # One Newton step along the edge puts x on the cut line to
+            # rounding of |x|, not of the edge length (the first edges
+            # span the whole 2e6-wide starting square).
+            out.append(x - ((a @ x - rhs) / (s[j] - s[i])) * d)
     return np.array(out) if out else np.empty((0, 2))
 
 
-EMPTY_2D = Polytope(np.array([[1.0, 0.0], [-1.0, 0.0]]), np.array([-1.0, -1.0]))
+EMPTY_2D = Polytope(
+    np.array([[1.0, 0.0], [-1.0, 0.0]]), np.array([-1.0, -1.0]), np.empty((0, 2))
+)
 
 
 def reduce_2d(poly: Polytope, bound: float = 1e6, tol: float = 1e-9) -> Polytope:
@@ -215,9 +231,10 @@ def reduce_2d(poly: Polytope, bound: float = 1e6, tol: float = 1e-9) -> Polytope
 
     Clips a large bounding square by the most-violated row until every
     row is satisfied on the polygon, then rebuilds one row per polygon
-    edge.  Returns the input unchanged when the set is unbounded or
-    degenerates below a proper polygon; returns an infeasible marker
-    when the set is empty.
+    edge; the result carries the polygon as `vertices`.  Returns the
+    input unchanged when the set is unbounded, and the input's rows with
+    the polygon attached when it degenerates below a proper polygon;
+    returns an infeasible marker when the set is empty.
     """
     if poly.dim != 2:
         raise ValueError("reduce_2d only handles 2-D polytopes")
@@ -235,8 +252,6 @@ def reduce_2d(poly: Polytope, bound: float = 1e6, tol: float = 1e-9) -> Polytope
             return EMPTY_2D
     else:
         return poly
-    if verts.shape[0] < 3:
-        return poly
     if np.max(np.abs(verts)) >= 0.99 * bound:
         return poly  # unbounded (or near enough); keep the original rows
     rows = []
@@ -252,29 +267,23 @@ def reduce_2d(poly: Polytope, bound: float = 1e6, tol: float = 1e-9) -> Polytope
         rows.append(normal)
         rhs.append(normal @ v1 + tol)
     if len(rows) < 3:
-        return poly
-    return Polytope(np.array(rows), np.array(rhs))
-
-
-def polygon_vertices(poly: Polytope, bound: float = 1e6, tol: float = 1e-9):
-    """Vertices of a bounded 2-D polytope (ccw), or None when empty."""
-    if poly.dim != 2:
-        raise ValueError("polygon_vertices only handles 2-D polytopes")
-    verts = np.array(
-        [[-bound, -bound], [bound, -bound], [bound, bound], [-bound, bound]]
-    )
-    for a, rhs in zip(poly.A, poly.b):
-        verts = _clip(verts, a, rhs)
-        if verts.shape[0] == 0:
-            return None
-    return verts
+        return Polytope(poly.A, poly.b, verts)
+    return Polytope(np.array(rows), np.array(rhs), verts)
 
 
 def bounding_box(poly: Polytope):
     """Per-coordinate (lo, hi) bounds; entries are +-inf when unbounded.
 
-    Returns None if the polytope is empty.
+    Returns None if the polytope is empty.  A bounded 2-D set takes the
+    extremes of its polygon's vertices; anything else solves two LPs
+    per coordinate.
     """
+    if poly.dim == 2 and poly.vertices is None:
+        poly = reduce_2d(poly)
+    if poly.vertices is not None:
+        if poly.vertices.shape[0] == 0:
+            return None
+        return poly.vertices.min(axis=0), poly.vertices.max(axis=0)
     n = poly.dim
     lo = np.empty(n)
     hi = np.empty(n)

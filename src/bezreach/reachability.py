@@ -148,17 +148,6 @@ class ReachSpec:
         pts = solve_boundary(self._D, np.asarray(x0, float), np.asarray(xT, float))
         return BezierCurve(self.horizon, pts)
 
-    def edge_feasible(self, vi: np.ndarray, vj: np.ndarray) -> np.ndarray | None:
-        """Witness w in F(vi) intersected with B(vj), or None."""
-        fwd = self.forward_polytope(np.asarray(vi, float))
-        bwd = self.backward_polytope(np.asarray(vj, float))
-        both = fwd.intersect(bwd)
-        for cand in (np.asarray(vi, float), np.asarray(vj, float),
-                     0.5 * (np.asarray(vi, float) + np.asarray(vj, float))):
-            if both.contains(cand):
-                return cand
-        return lp.feasible(both)
-
 
 def sample_cloud(poly: lp.Polytope, count: int, seed: int = 0, max_draws: int = 200_000):
     """Rejection-sampled interior points, plus the box used for sampling.
@@ -186,16 +175,16 @@ def sample_cloud(poly: lp.Polytope, count: int, seed: int = 0, max_draws: int = 
     return (np.array(pts[:count]) if pts else np.empty((0, poly.dim))), ratio
 
 
-def volume_estimate(poly: lp.Polytope, seed: int = 0, draws: int = 50_000) -> float:
-    """Monte-Carlo volume via rejection sampling on the bounding box."""
-    box = lp.bounding_box(poly)
-    if box is None:
-        return 0.0
-    lo, hi = box
-    vol_box = float(np.prod(hi - lo))
-    if vol_box == 0.0:
-        return 0.0
-    rng = np.random.default_rng(seed)
-    xs = rng.uniform(lo, hi, size=(draws, poly.dim))
-    ok = np.all(poly.A @ xs.T <= poly.b[:, None] + 1e-9, axis=0)
-    return vol_box * float(np.mean(ok))
+def volume_estimate(poly: lp.Polytope) -> float:
+    """Exact area of a bounded 2-D polytope (shoelace formula over the
+    vertices `reduce_2d` computes); 0.0 when the set is empty.
+
+    Raises ValueError for unbounded or non-2-D input.
+    """
+    if poly.dim != 2:
+        raise ValueError("volume_estimate only handles 2-D polytopes")
+    verts = poly.vertices if poly.vertices is not None else lp.reduce_2d(poly).vertices
+    if verts is None:
+        raise ValueError("cannot measure an unbounded polytope")
+    x, y = verts.T
+    return 0.5 * abs(float(x @ np.roll(y, -1) - y @ np.roll(x, -1)))

@@ -7,11 +7,11 @@ import pytest
 
 from bezreach.bezier import (
     BezierCurve,
+    BoundaryRankError,
     InsufficientOrderError,
     basis_matrix,
     bernstein_basis,
     boundary_matrix,
-    commutation_matrix,
     derivative_map,
     diff_matrix,
     elevation_matrix,
@@ -247,6 +247,12 @@ def test_boundary_order_too_low_raises():
         boundary_matrix(2, 2, 1.0)
 
 
+def test_boundary_rank_loss_raises_typed_error(monkeypatch):
+    monkeypatch.setattr(np.linalg, "matrix_rank", lambda M: 0)
+    with pytest.raises(BoundaryRankError):
+        boundary_matrix(3, 2, 1.0)
+
+
 def test_boundary_regularizer_reproduces_min_norm():
     D = boundary_matrix(5, 2, 1.0)
     x0 = np.array([0.3, -0.2])
@@ -257,13 +263,6 @@ def test_boundary_regularizer_reproduces_min_norm():
 
 
 # -- vectorization ---------------------------------------------------------
-
-
-def test_commutation_matrix_identity():
-    rng = np.random.default_rng(8)
-    A = rng.normal(size=(3, 5))
-    K = commutation_matrix(3, 5)
-    assert np.allclose(K @ A.T.reshape(-1, order="F"), A.reshape(-1, order="F"))
 
 
 def test_stacked_derivative_vec_oracle():

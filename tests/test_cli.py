@@ -6,7 +6,8 @@ import numpy as np
 import pytest
 
 from bezreach import cli
-from bezreach.bezier import boundary_matrix, diff_matrix, solve_boundary
+from bezreach.bezier import BoundaryRankError, boundary_matrix, diff_matrix, solve_boundary
+from bezreach.lp import WitnessError
 
 
 def write_config(tmp_path, doc, name="config.json"):
@@ -93,6 +94,20 @@ def test_unknown_model_kind_exit_code(tmp_path, capsys):
     })
     assert cli.main(["matrices", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
     assert "model.kind" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("error", [BoundaryRankError, WitnessError, np.linalg.LinAlgError])
+def test_numerical_failure_exit_code(tmp_path, monkeypatch, capsys, error):
+    def fail(*args):
+        raise error("injected")
+
+    monkeypatch.setattr(cli, "boundary_matrix", fail)
+    cfg = write_config(tmp_path, {
+        "model": {"kind": "integrator", "gamma": 1, "m": 1},
+        "curve": {"order": 2, "horizon": 1.0},
+    })
+    assert cli.main(["matrices", "--config", cfg, "--out", str(tmp_path / "o")]) == 4
+    assert "numerical failure" in capsys.readouterr().err
 
 
 def test_reach_emits_cloud_and_svg(tmp_path):

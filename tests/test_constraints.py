@@ -17,6 +17,8 @@ from bezreach.constraints import (
     InfeasibleCertificateError,
     LiftedLinearConstraints,
     MixedConstraintRow,
+    _level_set_radius,
+    _psd_projection_2x2,
     control_point_polytope,
     input_bound_row,
     lift_rows,
@@ -167,6 +169,84 @@ def test_lift_sound_on_pendulum_monte_carlo():
         u = flat_input(model, x, q)
         lhs = 0.8 * np.max(np.abs(x - x_ref)) + 0.4 * np.max(np.abs(u))
         assert lhs <= 6.0 + 1e-9
+
+
+def cut_polygon_vertices(s_max, c, delta):
+    """Vertices of {0 <= s <= s_max, c^T s <= delta} (a 2-D polygon)."""
+    corners = np.array([[0.0, 0.0], [s_max[0], 0.0], [0.0, s_max[1]], s_max])
+    verts = [v for v in corners if c @ v <= delta + 1e-15]
+    for a, b in ((0, 1), (0, 2), (1, 3), (2, 3)):
+        da, db = c @ corners[a] - delta, c @ corners[b] - delta
+        if da * db < 0:
+            t = da / (da - db)
+            verts.append(corners[a] + t * (corners[b] - corners[a]))
+    return np.array(verts) if verts else np.empty((0, 2))
+
+
+def level_set_holds(M_hat, N, c, b, s_max, delta):
+    poly = cut_polygon_vertices(s_max, c, delta)
+    if poly.size == 0:
+        return True
+    q = np.einsum("ij,jk,ik->i", poly, M_hat, poly) + poly @ N
+    return float(np.max(q)) <= b + 1e-12
+
+
+def bisection_radius(M_hat, N, c, b, s_max, tol=1e-9):
+    """Oracle: largest delta whose cut polygon keeps the quadratic <= b,
+    by bisection on the containment predicate."""
+    cap = float(c @ s_max)
+    if level_set_holds(M_hat, N, c, b, s_max, cap):
+        return cap
+    if not level_set_holds(M_hat, N, c, b, s_max, 0.0):
+        return -np.inf
+    lo, hi = 0.0, cap
+    while hi - lo > tol:
+        mid = 0.5 * (lo + hi)
+        if level_set_holds(M_hat, N, c, b, s_max, mid):
+            lo = mid
+        else:
+            hi = mid
+    return lo
+
+
+def random_norm_row(rng, coupled):
+    """(M_hat, N, c, b, s_max) built as lift_rows builds them for a
+    pure-norm row; `coupled` rows have L_G > 0, so M_hat != 0."""
+    a2 = 0.0 if rng.random() < 0.1 else rng.uniform(0.0, 3.0)
+    a3 = 0.0 if rng.random() < 0.1 and a2 > 0 else rng.uniform(0.05, 3.0)
+    L_f = 0.0 if rng.random() < 0.2 else rng.uniform(0.0, 10.0)
+    L_G = rng.uniform(0.01, 2.0) if coupled else 0.0
+    g0 = rng.uniform(0.1, 3.0)
+    s_max = rng.uniform(0.1, 5.0, size=2)
+    M = 0.5 * a3 * np.array([[2.0 * L_G * L_f, L_G], [L_G, 0.0]])
+    N = np.array([a3 * L_f * g0 + a2, a3 * g0])
+    M_hat = _psd_projection_2x2(M)
+    q_top = float(s_max @ M_hat @ s_max + N @ s_max)
+    b = rng.uniform(-0.1, 1.2) * q_top
+    return M_hat, N, N + M_hat @ s_max, b, s_max
+
+
+def test_level_set_radius_matches_bisection_oracle():
+    rng = np.random.default_rng(21)
+    for trial in range(2000):
+        M_hat, N, c, b, s_max = random_norm_row(rng, coupled=trial % 2 == 1)
+        exact = _level_set_radius(M_hat, N, c, b, s_max, a1_zero=True)
+        oracle = bisection_radius(M_hat, N, c, b, s_max)
+        if np.isinf(oracle):
+            assert exact == oracle
+            continue
+        assert abs(exact - oracle) <= 1e-9 * max(1.0, abs(exact))
+        assert level_set_holds(M_hat, N, c, b, s_max, exact)
+
+
+def test_level_set_radius_uncoupled_closed_form():
+    # M_hat = 0 (L_G = 0, as for both shipped models): min(b, c . s_max).
+    s_max = np.array([2.0, 3.0])
+    N = np.array([0.7, 1.3])
+    for b in (0.0, 0.5, 1.5, 4.0, 10.0):
+        radius = _level_set_radius(np.zeros((2, 2)), N, N, b, s_max, a1_zero=True)
+        assert radius == pytest.approx(min(b, N @ s_max), rel=1e-15)
+    assert _level_set_radius(np.zeros((2, 2)), N, N, -0.1, s_max, True) == -np.inf
 
 
 def test_lift_infeasible_box_raises():

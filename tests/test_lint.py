@@ -1,0 +1,19 @@
+"""Source-level checks on the library itself."""
+
+import ast
+from pathlib import Path
+
+SRC = Path(__file__).resolve().parents[1] / "src" / "bezreach"
+
+
+def test_no_assert_statements_in_library():
+    # `python -O` strips assert statements, so no check on the soundness
+    # path may be one; raise a typed error instead.
+    found = [
+        f"{path.name}:{node.lineno}"
+        for path in sorted(SRC.glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path)))
+        if isinstance(node, ast.Assert)
+    ]
+    assert list(SRC.glob("*.py")), f"no library sources under {SRC}"
+    assert not found, f"assert statements in the library: {found}"

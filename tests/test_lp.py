@@ -1,5 +1,10 @@
 """LP solver and 2-D polytope reduction against brute-force oracles."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -79,7 +84,7 @@ def test_maximize_matches_vertex_oracle():
             np.vstack([poly.A, [[1, 0], [-1, 0], [0, 1], [0, -1]]]),
             np.concatenate([poly.b, [4.0, 4, 4, 4]]),
         )
-        verts = lp.polygon_vertices(box)
+        verts = lp.reduce_2d(box).vertices
         c = rng.normal(size=2)
         res = lp.maximize(box, c)
         if verts is None or verts.shape[0] == 0:
@@ -88,6 +93,25 @@ def test_maximize_matches_vertex_oracle():
         best = float(np.max(verts @ c))
         assert res.status == "optimal"
         assert np.isclose(res.value, best, atol=1e-6)
+
+
+def test_feasible_rejects_violating_witness(monkeypatch):
+    unit = lp.Polytope(np.vstack([np.eye(2), -np.eye(2)]), np.ones(4))
+    monkeypatch.setattr(lp, "_extract", lambda T, basis, n: np.full(n, 5.0))
+    with pytest.raises(lp.WitnessError):
+        lp.feasible(unit)
+
+
+def test_feasible_witness_check_survives_optimize_flag():
+    # The check must not be an assert, which `python -O` strips.
+    src = Path(__file__).resolve().parents[1] / "src"
+    test = f"{__file__}::test_feasible_rejects_violating_witness"
+    proc = subprocess.run(
+        [sys.executable, "-O", "-m", "pytest", "-q", "-p", "no:cacheprovider", test],
+        env={**os.environ, "PYTHONPATH": str(src)},
+        capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stdout + proc.stderr
 
 
 def test_witness_satisfies_constraints():
@@ -116,6 +140,26 @@ def test_bounding_box_of_box():
     lo, hi = lp.bounding_box(box)
     assert np.allclose(lo, [-1.0, -0.5], atol=1e-8)
     assert np.allclose(hi, [2.0, 3.0], atol=1e-8)
+
+
+def test_bounding_box_2d_matches_lp_box():
+    rng = np.random.default_rng(5)
+    checked = 0
+    while checked < 120:
+        poly = random_polytope(rng, rows=int(rng.integers(3, 12)))
+        box = lp.Polytope(
+            np.vstack([poly.A, [[1, 0], [-1, 0], [0, 1], [0, -1]]]),
+            np.concatenate([poly.b, [4.0, 4, 4, 4]]),
+        )
+        if lp.feasible(box) is None:
+            assert lp.bounding_box(box) is None
+            continue
+        lo, hi = lp.bounding_box(box)
+        for i in range(2):
+            e = np.eye(2)[i]
+            assert abs(hi[i] - lp.maximize(box, e).value) <= 1e-8
+            assert abs(lo[i] + lp.maximize(box, -e).value) <= 1e-8
+        checked += 1
 
 
 def test_bounding_box_unbounded_direction():
@@ -159,7 +203,7 @@ def test_reduce_2d_passes_through_unbounded():
 
 def test_polygon_vertices_unit_box():
     box = lp.Polytope(np.array([[1.0, 0], [-1, 0], [0, 1], [0, -1]]), np.ones(4))
-    verts = lp.polygon_vertices(box)
+    verts = lp.reduce_2d(box).vertices
     assert verts.shape == (4, 2)
     assert np.allclose(np.sort(np.abs(verts), axis=0), 1.0)
 

@@ -11,6 +11,7 @@ from bezreach.models import (
     integrator_chain,
     pendulum_model,
 )
+from bezreach.planner import build_graph
 from bezreach.reachability import ReachSpec, sample_cloud, volume_estimate
 
 
@@ -130,15 +131,16 @@ def test_backward_empty_far_outside_constraints():
 def test_edge_feasible_rest_point():
     spec = integrator_spec()
     v = np.array([0.1, 0.0])
-    w = spec.edge_feasible(v, v)
-    assert w is not None
+    graph = build_graph(v[None, :], spec)
+    w = graph.edges[(0, 0)]
     assert spec.forward_polytope(v).contains(w, tol=1e-8)
     assert spec.backward_polytope(v).contains(w, tol=1e-8)
 
 
 def test_edge_feasible_far_apart_empty():
     spec = integrator_spec(u_max=0.2)
-    assert spec.edge_feasible(np.array([-0.9, 0.0]), np.array([0.9, 0.0])) is None
+    graph = build_graph(np.array([[-0.9, 0.0], [0.9, 0.0]]), spec)
+    assert (0, 1) not in graph.edges
 
 
 def test_drift_policy_references_follow_flow():
@@ -160,12 +162,40 @@ def test_sample_cloud_deterministic():
     assert np.array_equal(a, b) and ra == rb
 
 
+def monte_carlo_area(poly, lo, hi, draws, seed):
+    xs = np.random.default_rng(seed).uniform(lo, hi, size=(draws, 2))
+    ok = np.all(poly.A @ xs.T <= poly.b[:, None] + 1e-9, axis=0)
+    return float(np.prod(np.subtract(hi, lo))) * float(np.mean(ok))
+
+
 def test_volume_estimate_unit_box():
     box = lp.Polytope(
         np.vstack([np.eye(2), -np.eye(2)]), np.ones(4)
     )
-    vol = volume_estimate(box, seed=0)
-    assert np.isclose(vol, 4.0, rtol=0.05)
+    assert volume_estimate(box) == 4.0
+
+
+def test_volume_estimate_matches_monte_carlo_oracle():
+    spec = integrator_spec()
+    for x0 in ([0.0, 0.0], [0.1, -0.2], [-0.3, 0.2]):
+        poly = spec.forward_polytope(np.array(x0))
+        lo, hi = lp.bounding_box(poly)
+        draws = 200_000
+        oracle = monte_carlo_area(poly, lo, hi, draws, seed=0)
+        # Binomial standard error of the hit fraction, scaled to area.
+        box_area = float(np.prod(hi - lo))
+        p = oracle / box_area
+        sigma = box_area * np.sqrt(p * (1 - p) / draws)
+        assert abs(volume_estimate(poly) - oracle) <= 5 * sigma + 1e-12
+
+
+def test_volume_estimate_rejects_unbounded_and_non_2d():
+    half = lp.Polytope(np.array([[1.0, 0.0]]), np.array([1.0]))
+    with pytest.raises(ValueError):
+        volume_estimate(half)
+    cube = lp.Polytope(np.vstack([np.eye(3), -np.eye(3)]), np.ones(6))
+    with pytest.raises(ValueError):
+        volume_estimate(cube)
 
 
 def test_volume_estimate_empty():
