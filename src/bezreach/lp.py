@@ -1,9 +1,15 @@
-"""Small dense linear programming over halfspace polytopes.
+"""Small linear programs over halfspace polytopes.
 
-Feasibility and linear maximization for sets {x | Ax <= b} with free
-variables.  Two-phase simplex with Bland's anti-cycling rule; dense
-arithmetic throughout.  Intended for the small problems that show up in
-polytope queries (n <= 64), where robustness matters more than speed.
+Feasibility, linear maximization and bounding boxes for sets
+{x | Ax <= b} with free variables, plus exact reduction of 2-D sets to
+their polygon.  Every LP first rescales its rows to unit normals, drops
+zero rows and merges parallel duplicates, so its tolerances are
+distances and its verdicts do not depend on how the rows are scaled.
+The solver is a two-phase tableau simplex with Bland's anti-cycling
+rule, one vectorized rank-1 update per pivot; a bounding box shares one
+phase one across its 2n objectives.  Intended for the small problems
+that show up in polytope queries (n <= 64), where robustness matters
+more than speed.
 """
 
 from __future__ import annotations
@@ -65,10 +71,9 @@ class LPResult:
 
 def _pivot(T: np.ndarray, basis: np.ndarray, row: int, col: int) -> None:
     T[row] /= T[row, col]
-    piv = T[row]
-    for r in range(T.shape[0]):
-        if r != row and abs(T[r, col]) > 1e-14:
-            T[r] -= T[r, col] * piv
+    rows = np.flatnonzero(np.abs(T[:, col]) > 1e-14)
+    rows = rows[rows != row]
+    T[rows] -= np.outer(T[rows, col], T[row])
     basis[row] = col
 
 
@@ -79,87 +84,104 @@ def _bland_simplex(T: np.ndarray, basis: np.ndarray, ncols: int, limit: int) -> 
     """
     m = T.shape[0] - 1
     for _ in range(limit):
-        obj = T[-1, :ncols]
-        enter = -1
-        for j in range(ncols):
-            if obj[j] < -TOL:
-                enter = j
-                break
-        if enter < 0:
+        enter = np.flatnonzero(T[-1, :ncols] < -TOL)
+        if enter.size == 0:
             return "optimal"
-        # Bland: smallest ratio, ties broken by smallest basis index.
-        leave = -1
-        best = np.inf
-        for i in range(m):
-            a = T[i, enter]
-            if a > TOL:
-                ratio = T[i, -1] / a
-                if ratio < best - 1e-12 or (
-                    abs(ratio - best) <= 1e-12 and (leave < 0 or basis[i] < basis[leave])
-                ):
-                    best = ratio
-                    leave = i
-        if leave < 0:
+        col = T[:m, enter[0]]
+        rows = np.flatnonzero(col > TOL)
+        if rows.size == 0:
             return "unbounded"
-        _pivot(T, basis, leave, enter)
+        # Bland: smallest ratio, ties broken by smallest basis index.
+        ratio = T[rows, -1] / col[rows]
+        ties = rows[ratio <= ratio.min() + 1e-12]
+        _pivot(T, basis, int(ties[np.argmin(basis[ties])]), int(enter[0]))
     raise IterationLimitError("simplex iteration limit reached")
+
+
+def _reduce_rows(A: np.ndarray, b: np.ndarray):
+    """Unit-normal rows describing the same set as {A x <= b}, and the
+    largest row norm.
+
+    Zero rows are dropped, or make the set empty (None) when their rhs
+    is below -1e-7; rows whose normals agree to about 1e-12 merge into
+    the first of them with the smallest rhs.
+    """
+    norms = np.sqrt(np.einsum("ij,ij->i", A, A))
+    zero = norms == 0.0
+    if np.any(b[zero] < -1e-7):
+        return None
+    A = A[~zero] / norms[~zero, None]
+    b = b[~zero] / norms[~zero]
+    # + 0.0 turns -0.0 into 0.0 so both land in one group.
+    key = np.round(A * 1e12) + 0.0
+    _, first, group = np.unique(key, axis=0, return_index=True, return_inverse=True)
+    rhs = np.full(first.shape[0], np.inf)
+    np.minimum.at(rhs, group.reshape(-1), b)
+    order = np.argsort(first)
+    return A[first[order]], rhs[order], float(norms.max(initial=0.0))
 
 
 def _phase_one(A: np.ndarray, b: np.ndarray):
     """Basic feasible point of {A x <= b} in split-variable standard form.
 
-    Returns (tableau, basis, ncols, n_split) with the artificial objective
-    driven to its minimum, or None if the system is infeasible.
+    Returns (tableau, basis, ncols) with the artificial objective driven
+    to its minimum and the artificials out of the basis, or None if the
+    system is infeasible.  Columns [0, ncols) are x+, x- and the slacks.
     """
+    rows = _reduce_rows(A, b)
+    if rows is None:
+        return None
+    A, b, longest = rows
     m, n = A.shape
     sign = np.where(b < 0, -1.0, 1.0)
-    As = A * sign[:, None]
-    bs = b * sign
-    slack_sign = sign  # slack coefficient after row normalization
-
-    art_rows = np.where(sign < 0)[0]
+    art = np.flatnonzero(sign < 0)
     n_split = 2 * n
-    n_slack = m
-    n_art = len(art_rows)
-    ncols = n_split + n_slack + n_art
+    n_real = n_split + m
 
-    T = np.zeros((m + 1, ncols + 1))
-    T[:m, :n] = As
-    T[:m, n : 2 * n] = -As
-    T[:m, n_split : n_split + m] = np.diag(slack_sign)
-    art_col = {int(r): n_split + n_slack + k for k, r in enumerate(art_rows)}
-    for r, c in art_col.items():
-        T[r, c] = 1.0
-    T[:m, -1] = bs
+    T = np.zeros((m + 1, n_real + art.size + 1))
+    T[:m, :n] = A * sign[:, None]
+    T[:m, n:n_split] = -T[:m, :n]
+    T[np.arange(m), n_split + np.arange(m)] = sign
+    T[:m, -1] = b * sign
+    basis = n_split + np.arange(m)
+    basis[art] = n_real + np.arange(art.size)
+    T[art, basis[art]] = 1.0
+    if art.size:
+        # Phase-1 objective: sum of artificials, expressed in the current basis.
+        T[-1] = -T[art].sum(axis=0)
+        T[-1, n_real:-1] = 0.0
+        _bland_simplex(T, basis, T.shape[1] - 1, 200 + 50 * (m + n))
+        # The residual bounds each unit row's violation; rows longer than
+        # 1 tighten it so a witness meets the caller's rows within 1e-7.
+        if -T[-1, -1] > 1e-7 / max(1.0, longest):
+            return None
+        # Drive leftover zero-level artificials out of the basis so phase 2
+        # cannot grow them.  Rows with no real pivot candidate are redundant.
+        for i in np.flatnonzero(basis >= n_real):
+            cand = np.flatnonzero(np.abs(T[i, :n_real]) > 1e-9)
+            if cand.size:
+                _pivot(T, basis, int(i), int(cand[0]))
+    return T, basis, n_real
 
-    basis = np.empty(m, dtype=int)
-    for i in range(m):
-        basis[i] = art_col[i] if i in art_col else n_split + i
-    # Phase-1 objective: sum of artificials, expressed in the current basis.
-    if n_art:
-        T[-1, n_split + n_slack : ncols] = 1.0
-        for r in art_col:
-            T[-1] -= T[r]
-    limit = 200 + 50 * (m + n)
-    _bland_simplex(T, basis, ncols, limit)
-    if n_art and -T[-1, -1] > 1e-7:
+
+def _phase_two(T: np.ndarray, basis: np.ndarray, ncols: int, n: int, c: np.ndarray):
+    """Maximize c^T x from a phase-one tableau, which it overwrites.
+
+    Returns the optimal x, or None when c^T x is unbounded.
+    """
+    # maximize c^T x == minimize -c^T (x+ - x-); artificial columns stay out.
+    obj = np.zeros(T.shape[1])
+    obj[:n] = -c
+    obj[n : 2 * n] = c
+    T[-1] = obj - obj[basis] @ T[:-1]
+    if _bland_simplex(T, basis, ncols, 400 + 100 * (basis.shape[0] + n)) == "unbounded":
         return None
-    # Drive leftover zero-level artificials out of the basis so phase 2
-    # cannot grow them.  Rows with no real pivot candidate are redundant.
-    n_real = n_split + n_slack
-    for i in range(m):
-        if basis[i] >= n_real:
-            for j in range(n_real):
-                if abs(T[i, j]) > 1e-9:
-                    _pivot(T, basis, i, j)
-                    break
-    return T, basis, n_real, n_split
+    return _extract(T, basis, n)
 
 
 def _extract(T: np.ndarray, basis: np.ndarray, n: int) -> np.ndarray:
     vals = np.zeros(T.shape[1] - 1)
-    for i, c in enumerate(basis):
-        vals[c] = T[i, -1]
+    vals[basis] = T[:-1, -1]
     return vals[:n] - vals[n : 2 * n]
 
 
@@ -168,7 +190,7 @@ def feasible(poly: Polytope, tol: float = TOL) -> np.ndarray | None:
     out = _phase_one(poly.A, poly.b)
     if out is None:
         return None
-    T, basis, _, _ = out
+    T, basis, _ = out
     x = _extract(T, basis, poly.dim)
     if not np.all(poly.A @ x <= poly.b + max(tol, 1e-7)):
         raise WitnessError("simplex witness violates the constraints")
@@ -183,22 +205,9 @@ def maximize(poly: Polytope, c) -> LPResult:
     out = _phase_one(poly.A, poly.b)
     if out is None:
         return LPResult("infeasible")
-    T, basis, ncols, n_split = out
-    m = poly.A.shape[0]
-    n = poly.dim
-    # Drop artificial columns from consideration; rebuild phase-2 objective
-    # (maximize c^T x == minimize -c^T(x+ - x-)) in the current basis.
-    T[-1, :] = 0.0
-    T[-1, :n] = -c
-    T[-1, n : 2 * n] = c
-    for i in range(m):
-        col = basis[i]
-        if col < ncols and abs(T[-1, col]) > 1e-14:
-            T[-1] -= T[-1, col] * T[i]
-    status = _bland_simplex(T, basis, ncols, 400 + 100 * (m + n))
-    if status == "unbounded":
+    x = _phase_two(*out, poly.dim, c)
+    if x is None:
         return LPResult("unbounded")
-    x = _extract(T, basis, n)
     return LPResult("optimal", x=x, value=float(c @ x))
 
 
@@ -275,8 +284,8 @@ def bounding_box(poly: Polytope):
     """Per-coordinate (lo, hi) bounds; entries are +-inf when unbounded.
 
     Returns None if the polytope is empty.  A bounded 2-D set takes the
-    extremes of its polygon's vertices; anything else solves two LPs
-    per coordinate.
+    extremes of its polygon's vertices; anything else runs one phase one
+    and a phase two per coordinate direction.
     """
     if poly.dim == 2 and poly.vertices is None:
         poly = reduce_2d(poly)
@@ -284,17 +293,14 @@ def bounding_box(poly: Polytope):
         if poly.vertices.shape[0] == 0:
             return None
         return poly.vertices.min(axis=0), poly.vertices.max(axis=0)
+    out = _phase_one(poly.A, poly.b)
+    if out is None:
+        return None
+    T, basis, ncols = out
     n = poly.dim
-    lo = np.empty(n)
-    hi = np.empty(n)
-    e = np.zeros(n)
-    for i in range(n):
-        e[:] = 0.0
-        e[i] = 1.0
-        res = maximize(poly, e)
-        if res.status == "infeasible":
-            return None
-        hi[i] = np.inf if res.status == "unbounded" else res.value
-        res = maximize(poly, -e)
-        lo[i] = -np.inf if res.status == "unbounded" else -res.value
-    return lo, hi
+    # Extremes along +e_1..+e_n, then -e_1..-e_n, from one shared phase one.
+    ext = np.empty(2 * n)
+    for k, c in enumerate(np.vstack([np.eye(n), -np.eye(n)])):
+        x = _phase_two(T.copy(), basis.copy(), ncols, n, c)
+        ext[k] = np.inf if x is None else c @ x
+    return -ext[n:], ext[:n]

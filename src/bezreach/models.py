@@ -212,9 +212,16 @@ class ConstraintSet:
         return self.u_max / float(np.max(np.diag(self.W)))
 
     def bounding_box(self):
-        box = lp.bounding_box(self.polytope)
+        """Per-coordinate (lo, hi) box of C_X, solved on the first call and
+        then served read-only from the instance."""
+        box = self.__dict__.get("_box")
         if box is None:
-            raise ValueError("state constraint set is empty")
+            box = lp.bounding_box(self.polytope)
+            if box is None:
+                raise ValueError("state constraint set is empty")
+            for bound in box:
+                bound.flags.writeable = False
+            object.__setattr__(self, "_box", box)
         return box
 
     def is_compact(self) -> bool:

@@ -211,3 +211,178 @@ def test_polygon_vertices_unit_box():
 def test_polytope_rejects_nonfinite_data():
     with pytest.raises(ValueError):
         lp.Polytope(np.array([[np.inf, 0.0]]), np.array([1.0]))
+
+
+# -- row scaling and n > 2 ---------------------------------------------------
+
+
+def loop_pivot(T, basis, row, col):
+    """Row-by-row reference for the vectorized pivot."""
+    T[row] /= T[row, col]
+    for r in range(T.shape[0]):
+        if r != row and abs(T[r, col]) > 1e-14:
+            T[r] -= T[r, col] * T[row]
+    basis[row] = col
+
+
+def test_pivot_is_bit_identical_to_row_loop():
+    rng = np.random.default_rng(12)
+    for _ in range(50):
+        T = rng.normal(size=(9, 14))
+        T[rng.random(T.shape) < 0.3] = 0.0
+        T[rng.integers(9), :] *= 1e-15  # rows under the skip threshold
+        row, col = int(rng.integers(8)), int(rng.integers(13))
+        T[row, col] = rng.uniform(0.5, 2.0)
+        ref, got = T.copy(), T.copy()
+        basis_ref, basis_got = np.arange(8), np.arange(8)
+        loop_pivot(ref, basis_ref, row, col)
+        lp._pivot(got, basis_got, row, col)
+        assert np.array_equal(ref, got) and np.array_equal(basis_ref, basis_got)
+
+
+@pytest.mark.parametrize("s", [1e-6, 1e-3, 1.0, 1e3, 1e6])
+def test_empty_set_verdict_is_scale_invariant(s):
+    # x1 <= -1e-5 and x1 >= 1e-5: empty by 2e-5 whatever the row scale.
+    A = np.array([[1.0, 0, 0], [-1, 0, 0], [0, 1, 0], [0, 0, 1]])
+    b = np.array([-1e-5, -1e-5, 1.0, 1.0])
+    poly = lp.Polytope(s * A, s * b)
+    assert lp.feasible(poly) is None
+    assert lp.maximize(poly, [0.0, 1.0, 0.0]).status == "infeasible"
+    assert lp.bounding_box(poly) is None
+
+
+@pytest.mark.parametrize("length", [1e-3, 1.0, 10.0, 1e3])
+def test_sets_empty_within_tolerance_never_raise(length):
+    # Either verdict is fine for a gap below the feasibility tolerance,
+    # but a witness must meet the caller's rows within 1e-7.
+    A = length * np.array([[1.0, 0, 0], [-1, 0, 0], [0, 1, 0], [0, 0, 1]])
+    for gap in (1e-9, 1e-8, 5e-8, 8e-8, 2e-7):
+        b = length * np.array([-gap / 2, -gap / 2, 1.0, 1.0])
+        w = lp.feasible(lp.Polytope(A, b))
+        if w is not None:
+            assert np.all(A @ w <= b + 1e-7)
+
+
+def test_zero_rows_drop_or_empty_the_set():
+    cube = np.vstack([np.eye(3), -np.eye(3), np.zeros((1, 3))])
+    empty = lp.Polytope(cube, np.r_[np.ones(6), -1e-3])
+    assert lp.feasible(empty) is None
+    assert lp.maximize(empty, [1.0, 0.0, 0.0]).status == "infeasible"
+    assert lp.bounding_box(empty) is None
+    # Within the 1e-7 feasibility tolerance a zero row is dropped.
+    cube_tol = lp.Polytope(cube, np.r_[np.ones(6), -1e-9])
+    assert lp.feasible(cube_tol) is not None
+    lo, hi = lp.bounding_box(cube_tol)
+    assert np.allclose(lo, -1.0, atol=1e-12) and np.allclose(hi, 1.0, atol=1e-12)
+
+
+def random_polytope_nd(rng, n, rows):
+    """Random rows, bounded or not, empty or not, with a degenerate
+    vertex (several rows through one point) in a third of the draws."""
+    A = rng.normal(size=(rows, n))
+    b = rng.uniform(-0.5, 2.0, size=rows)
+    kind = rng.integers(3)
+    if kind == 1:  # bounded: add a box
+        A = np.vstack([A, np.eye(n), -np.eye(n)])
+        b = np.concatenate([b, np.full(2 * n, 3.0)])
+    elif kind == 2:  # degenerate: many rows through one point
+        x0 = rng.uniform(-1.0, 1.0, size=n)
+        k = int(rng.integers(n + 1, 2 * n + 3))
+        b[:k] = A[:k] @ x0
+    return lp.Polytope(A, b)
+
+
+def rows_rewritten(poly, rng):
+    """The same set from positively rescaled rows, looser or equal
+    duplicates of some rows, and zero rows with b >= 0."""
+    m, n = poly.A.shape
+    scale = 10.0 ** rng.uniform(-3.0, 3.0, size=m)
+    dup = rng.choice(m, size=max(1, m // 2))
+    dup_scale = 10.0 ** rng.uniform(-3.0, 3.0, size=dup.size)
+    slack = np.where(rng.random(dup.size) < 0.5, 0.0, rng.uniform(0.0, 1.0, dup.size))
+    A = np.vstack([poly.A * scale[:, None], poly.A[dup] * dup_scale[:, None],
+                   np.zeros((2, n))])
+    b = np.concatenate([poly.b * scale, (poly.b[dup] + slack) * dup_scale, [0.0, 1.0]])
+    return lp.Polytope(A, b)
+
+
+def test_row_rescaling_duplicates_and_zero_rows_keep_verdicts():
+    rng = np.random.default_rng(11)
+    for trial in range(60):
+        n = 2 + trial % 3
+        poly = random_polytope_nd(rng, n, int(rng.integers(3, 12)))
+        other = rows_rewritten(poly, rng)
+        w = lp.feasible(poly)
+        assert (w is None) == (lp.feasible(other) is None)
+        c = rng.normal(size=n)
+        r1, r2 = lp.maximize(poly, c), lp.maximize(other, c)
+        assert r1.status == r2.status
+        if r1.status == "optimal":
+            assert abs(r1.value - r2.value) <= 1e-9 * max(1.0, abs(r1.value))
+        box1, box2 = lp.bounding_box(poly), lp.bounding_box(other)
+        assert (box1 is None) == (box2 is None) == (w is None)
+        if box1 is not None:
+            for u, v in zip(box1, box2):
+                assert np.array_equal(np.isinf(u), np.isinf(v))
+                fin = np.isfinite(u)
+                assert np.all(np.abs(u[fin] - v[fin]) <= 1e-9 * np.maximum(1.0, np.abs(u[fin])))
+
+
+def oracle_instances(seed, count):
+    rng = np.random.default_rng(seed)
+    for trial in range(count):
+        n = 3 + trial % 2
+        yield rng, n, random_polytope_nd(rng, n, int(rng.integers(n + 1, 4 * n + 4)))
+
+
+def test_feasible_matches_linprog_oracle(max_margin):
+    verdicts = {True: 0, False: 0}
+    for _, n, poly in oracle_instances(21, 200):
+        margin = max_margin(poly.A, poly.b)
+        if abs(margin) <= 1e-6:
+            continue
+        w = lp.feasible(poly)
+        assert (w is not None) == (margin > 0)
+        if w is not None:
+            assert poly.contains(w, tol=1e-7)
+        verdicts[margin > 0] += 1
+    assert min(verdicts.values()) >= 20, verdicts
+
+
+def test_maximize_matches_linprog_oracle(linprog, max_margin):
+    statuses = {"optimal": 0, "unbounded": 0, "infeasible": 0}
+    for rng, n, poly in oracle_instances(22, 200):
+        if abs(max_margin(poly.A, poly.b)) <= 1e-6:
+            continue
+        c = rng.normal(size=n)
+        ref = linprog(-c, A_ub=poly.A, b_ub=poly.b, bounds=[(None, None)] * n,
+                      method="highs")
+        res = lp.maximize(poly, c)
+        assert res.status == {0: "optimal", 2: "infeasible", 3: "unbounded"}[ref.status]
+        if res.status == "optimal":
+            assert abs(res.value + ref.fun) <= 1e-7 * max(1.0, abs(ref.fun))
+            assert poly.contains(res.x, tol=1e-7)
+        statuses[res.status] += 1
+    assert min(statuses.values()) >= 20, statuses
+
+
+def test_bounding_box_matches_linprog_box(linprog, max_margin):
+    checked = 0
+    for _, n, poly in oracle_instances(23, 120):
+        if abs(max_margin(poly.A, poly.b)) <= 1e-6:
+            continue
+        box = lp.bounding_box(poly)
+        free = [(None, None)] * n
+        for i, c in enumerate(np.eye(n)):
+            hi = linprog(-c, A_ub=poly.A, b_ub=poly.b, bounds=free, method="highs")
+            lo = linprog(c, A_ub=poly.A, b_ub=poly.b, bounds=free, method="highs")
+            if hi.status == 2:
+                assert box is None
+                break
+            for got, ref, sign in ((box[1][i], hi, -1.0), (box[0][i], lo, 1.0)):
+                if ref.status == 3:
+                    assert got == -sign * np.inf
+                else:
+                    assert abs(got - sign * ref.fun) <= 1e-7 * max(1.0, abs(ref.fun))
+        checked += 1
+    assert checked >= 100

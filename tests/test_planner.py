@@ -5,6 +5,7 @@ import itertools
 import numpy as np
 import pytest
 
+from bezreach import lp
 from bezreach.models import (
     ConstraintSet,
     TrackingCertificate,
@@ -136,6 +137,38 @@ def test_graph_deterministic():
     assert set(a.edges) == set(b.edges)
     for k in a.edges:
         assert np.array_equal(a.edges[k], b.edges[k])
+
+
+def test_4d_graph_matches_linprog_oracle(monkeypatch, max_margin):
+    model = integrator_chain(2, 2)
+    cs = box_constraints(-np.ones(4), np.ones(4), 2.0)
+    cert = TrackingCertificate(0.01, 0.0, 1.0, 1.0, 1.0)
+    spec = ReachSpec(model, cert, cs, order=3, horizon=1.0,
+                     reference_policy="fixed", x_ref=np.zeros(4),
+                     q_gamma_bound=10.0)
+    verdicts = []
+    real_feasible = lp.feasible
+
+    def recording_feasible(poly, *args, **kwargs):
+        w = real_feasible(poly, *args, **kwargs)
+        verdicts.append(w is not None)
+        return w
+
+    monkeypatch.setattr(lp, "feasible", recording_feasible)
+    for seed in range(3):
+        verts = sample_vertices((-0.7 * np.ones(4), 0.7 * np.ones(4)), 6, seed=seed)
+        graph = build_graph(verts, spec)
+        fwd = [spec.forward_polytope(v) for v in verts]
+        bwd = [spec.backward_polytope(v) for v in verts]
+        for i, j in itertools.product(range(6), repeat=2):
+            both = fwd[i].intersect(bwd[j])
+            margin = max_margin(both.A, both.b)
+            if abs(margin) > 1e-6:
+                assert ((i, j) in graph.edges) == (margin > 0), (seed, i, j, margin)
+        for (i, j), w in graph.edges.items():
+            assert fwd[i].contains(w, tol=1e-7) and bwd[j].contains(w, tol=1e-7)
+    # The LP tier decided some pairs each way.
+    assert any(verdicts) and not all(verdicts)
 
 
 # -- search ------------------------------------------------------------------

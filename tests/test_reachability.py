@@ -154,6 +154,28 @@ def test_drift_policy_references_follow_flow():
     assert not np.allclose(refs[0], refs[-1])
 
 
+def test_state_box_is_reduced_once_per_constraint_set(monkeypatch):
+    spec = pendulum_spec(policy="drift", refinement=10)
+    expected = lp.bounding_box(spec.cs.polytope)
+    rows_in = []
+    real_reduce = lp.reduce_2d
+
+    def counting_reduce(poly, *args, **kwargs):
+        rows_in.append(poly.A.shape[0])
+        return real_reduce(poly, *args, **kwargs)
+
+    monkeypatch.setattr(lp, "reduce_2d", counting_reduce)
+    for anchor in ([np.pi, 0.0], [np.pi + 0.5, 1.0]):
+        for direction in ("forward", "backward"):
+            spec.certificate(np.array(anchor), direction)
+    # 40 references share one reduction of the 4-row state box.
+    assert rows_in == [4]
+    lo, hi = spec.cs.bounding_box()
+    assert np.array_equal(lo, expected[0]) and np.array_equal(hi, expected[1])
+    with pytest.raises(ValueError):
+        lo[0] = 0.0
+
+
 def test_sample_cloud_deterministic():
     spec = integrator_spec()
     poly = spec.forward_polytope(np.zeros(2))
