@@ -40,6 +40,7 @@ from .models import (
     pendulum_model,
 )
 from .planner import (
+    InternalInconsistencyError,
     PlannedTrajectory,
     UnreachableGoalError,
     build_graph,
@@ -282,6 +283,9 @@ def _planner_vertices(cfg: dict, model, seed: int):
 
 def cmd_plan(cfg: dict, out: Path, seed: int) -> int:
     t0 = time.perf_counter()
+    if "edge_rule" in _get(cfg, "planner", dict):
+        raise ConfigError("planner.edge_rule", "option removed; edges always use the "
+                          "forward-backward intersection test")
     model = build_model(cfg)
     cert = build_certificate(cfg)
     cs = build_constraints(cfg)
@@ -292,8 +296,7 @@ def cmd_plan(cfg: dict, out: Path, seed: int) -> int:
               file=sys.stderr)
         return EXIT_INFEASIBLE
     verts, i_start, i_goal = _planner_vertices(cfg, model, seed)
-    edge_rule = _get(cfg, "planner.edge_rule", str, "intersection")
-    graph = build_graph(verts, spec, seed=seed, edge_rule=edge_rule)
+    graph = build_graph(verts, spec, seed=seed)
     try:
         path = search(graph, i_start, i_goal)
     except UnreachableGoalError as exc:
@@ -414,7 +417,8 @@ def main(argv=None) -> int:
         return EXIT_INFEASIBLE
     # Before ValueError: np.linalg.LinAlgError subclasses it.
     except (DivergenceError, IterationLimitError, WitnessError, BoundaryRankError,
-            SingularActuationError, np.linalg.LinAlgError) as exc:
+            SingularActuationError, InternalInconsistencyError,
+            np.linalg.LinAlgError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
     except ValueError as exc:

@@ -251,7 +251,7 @@ def default_q_gamma_bound(model: PlanningModel, cs: ConstraintSet, samples: int 
     lo, hi = cs.bounding_box()
     rng = np.random.default_rng(0)
     xs = rng.uniform(lo, hi, size=(samples, model.n))
-    f_max = max(float(np.max(np.abs(model.f_d(x)))) for x in xs)
+    f_max = float(np.max(np.abs(model.f_d(xs))))
     g_max = max(
         float(np.max(np.sum(np.abs(np.atleast_2d(model.g_d(x))), axis=1))) for x in xs
     )

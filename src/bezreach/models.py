@@ -4,12 +4,14 @@ A planning model is a gamma-chain of integrators whose top derivative is
 control affine: q^(gamma) = f_d(x) + g_d(x) u.  Models are immutable
 evaluators with analytically supplied Lipschitz constants (infinity norm
 over the state constraint set); a sampling validator cross-checks them.
+`f_d` and `drift_field` map states of shape (..., n) row-wise; `g_d`
+takes a single state.  `rk4` is the one fixed-step integrator.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable
+from typing import Callable, Iterator
 
 import numpy as np
 
@@ -35,17 +37,33 @@ class PlanningModel:
         return self.gamma * self.m
 
     def drift_field(self, x: np.ndarray) -> np.ndarray:
-        """Unforced state derivative of the chain dynamics."""
+        """Unforced state derivative of the chain dynamics, row-wise over
+        states of shape (..., n)."""
         x = np.asarray(x, dtype=float)
-        dx = np.zeros_like(x)
-        dx[: self.n - self.m] = x[self.m :]
-        dx[self.n - self.m :] = self.f_d(x)
-        return dx
+        return np.concatenate([x[..., self.m :], self.f_d(x)], axis=-1)
 
     def state_derivative(self, x: np.ndarray, u: np.ndarray) -> np.ndarray:
         dx = self.drift_field(x)
         dx[self.n - self.m :] += self.g_d(x) @ np.asarray(u, dtype=float)
         return dx
+
+
+def rk4(
+    f: Callable[[np.ndarray, int], np.ndarray], x0: np.ndarray, h, steps: int
+) -> Iterator[np.ndarray]:
+    """Fixed-step RK4 of x' = f(x, j), where j indexes half steps (step i
+    evaluates f at j = 2i, 2i + 1, 2i + 1, 2i + 2).  Yields a new array
+    with the state after each step.  The step h may be an array that
+    broadcasts over x, e.g. one step per row of a batch of states."""
+    x = np.asarray(x0, dtype=float)
+    for i in range(steps):
+        j = 2 * i
+        k1 = f(x, j)
+        k2 = f(x + 0.5 * h * k1, j + 1)
+        k3 = f(x + 0.5 * h * k2, j + 1)
+        k4 = f(x + h * k3, j + 2)
+        x = x + (h / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
+        yield x
 
 
 def flat_input(model: PlanningModel, x_d: np.ndarray, q_gamma: np.ndarray) -> np.ndarray:
@@ -73,7 +91,7 @@ def pendulum_model(mass: float, length: float, gravity: float) -> PlanningModel:
     ginv = mass * length**2
 
     def f_d(x):
-        return np.array([a * np.sin(x[0])])
+        return a * np.sin(x[..., :1])
 
     def g_d(x):
         return np.array([[1.0 / ginv]])
@@ -93,12 +111,11 @@ def integrator_chain(gamma: int, m: int) -> PlanningModel:
     """Canonical linear test model: f == 0, g == I."""
     if gamma < 1 or m < 1:
         raise ValueError("gamma and m must be >= 1")
-    zero = np.zeros(m)
     eye = np.eye(m)
     return PlanningModel(
         gamma=gamma,
         m=m,
-        f_d=lambda x: zero.copy(),
+        f_d=lambda x: np.zeros(np.shape(x)[:-1] + (m,)),
         g_d=lambda x: eye.copy(),
         lipschitz_f=0.0,
         lipschitz_ginv=0.0,

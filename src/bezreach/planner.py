@@ -22,6 +22,7 @@ from .bezier import (
     derivative_map,
     state_matrix,
 )
+from .models import rk4
 from .reachability import ReachSpec
 
 
@@ -80,24 +81,20 @@ def controlled_waypoints(
     edges between them are still certificate-checked like any others.
     `stop(x)` truthy ends the rollout early.
     """
-    x = np.asarray(x0, dtype=float).copy()
-    wps = [x.copy()]
     steps = int(round(hop / dt))
     if steps < 1:
         raise ValueError("hop must exceed dt")
-    for _ in range(max_hops):
-        for _ in range(steps):
-            def f(y):
-                return model.state_derivative(y, np.atleast_1d(controller(y)))
 
-            k1 = f(x)
-            k2 = f(x + 0.5 * dt * k1)
-            k3 = f(x + 0.5 * dt * k2)
-            k4 = f(x + dt * k3)
-            x = x + (dt / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
-        wps.append(x.copy())
-        if stop is not None and stop(x):
-            break
+    def f(x, j):
+        return model.state_derivative(x, np.atleast_1d(controller(x)))
+
+    x = np.asarray(x0, dtype=float).copy()
+    wps = [x]
+    for i, x in enumerate(rk4(f, x, dt, steps * max_hops), start=1):
+        if i % steps == 0:
+            wps.append(x)
+            if stop is not None and stop(x):
+                break
     return np.array(wps)
 
 
@@ -107,7 +104,6 @@ class ReachGraph:
     edges: dict  # (i, j) -> witness state
     seed: int
     spec: ReachSpec
-    edge_rule: str = "intersection"
 
     @property
     def edge_cost(self) -> float:
@@ -119,7 +115,6 @@ class ReachGraph:
     def to_json_dict(self) -> dict:
         return {
             "seed": self.seed,
-            "edge_rule": self.edge_rule,
             "vertex_count": int(self.vertices.shape[0]),
             "vertices": self.vertices.tolist(),
             "edges": [
@@ -135,34 +130,16 @@ def _boxes_overlap(box_a, box_b) -> bool:
     return bool(np.all(box_a[0] <= box_b[1] + 1e-9) and np.all(box_b[0] <= box_a[1] + 1e-9))
 
 
-def build_graph(
-    vertices: np.ndarray,
-    spec: ReachSpec,
-    seed: int = 0,
-    edge_rule: str = "intersection",
-) -> ReachGraph:
-    """All-pairs edge construction.
-
-    edge_rule "intersection" follows the two-horizon witness test
-    F(v_i) n B(v_j) != {}; "forward" is the cheaper one-horizon test
-    v_j in F(v_i) (witness v_j).  Cheap vectorized witness candidates
-    and bounding-box separation cut the number of LP calls.
+def build_graph(vertices: np.ndarray, spec: ReachSpec, seed: int = 0) -> ReachGraph:
+    """All-pairs edge construction by the two-horizon witness test
+    F(v_i) n B(v_j) != {}.  Cheap vectorized witness candidates and
+    bounding-box separation cut the number of LP calls.
     """
     vertices = np.atleast_2d(np.asarray(vertices, dtype=float))
     V = vertices.shape[0]
     if V == 0:
         raise EmptyGraphError("no vertices")
     fwd = [spec.forward_polytope(v) for v in vertices]
-    if edge_rule == "forward":
-        edges = {}
-        for i in range(V):
-            ok = np.all(fwd[i].A @ vertices.T <= fwd[i].b[:, None] + 1e-9, axis=0)
-            for j in np.flatnonzero(ok):
-                edges[(i, int(j))] = vertices[j].copy()
-        return ReachGraph(vertices, edges, seed, spec, edge_rule)
-    if edge_rule != "intersection":
-        raise ValueError(f"unknown edge rule {edge_rule!r}")
-
     bwd = [spec.backward_polytope(v) for v in vertices]
     sat_f = np.vstack(
         [np.all(P.A @ vertices.T <= P.b[:, None] + 1e-9, axis=0) for P in fwd]
@@ -199,7 +176,7 @@ def build_graph(
             w = lp.feasible(fwd[i].intersect(bwd[j]))
             if w is not None:
                 edges[(i, j)] = w
-    return ReachGraph(vertices, edges, seed, spec, edge_rule)
+    return ReachGraph(vertices, edges, seed, spec)
 
 
 def search(graph: ReachGraph, start: int, goal: int) -> list[int]:

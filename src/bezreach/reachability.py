@@ -18,13 +18,14 @@ from .bezier import BezierCurve, boundary_matrix, solve_boundary, vectorization_
 from .constraints import (
     CertificatePolytope,
     control_point_polytope,
+    default_q_gamma_bound,
     input_bound_row,
     lift_rows,
     refined_polytope,
     sigma_box,
     state_bound_rows,
 )
-from .models import ConstraintSet, PlanningModel, TrackingCertificate
+from .models import ConstraintSet, PlanningModel, TrackingCertificate, rk4
 
 REFERENCE_POLICIES = ("fixed", "drift")
 
@@ -60,6 +61,8 @@ class ReachSpec:
             if self.x_ref is None:
                 raise ValueError("fixed reference policy needs x_ref")
             self.x_ref = np.asarray(self.x_ref, dtype=float).reshape(-1)
+        if self.q_gamma_bound is None:
+            self.q_gamma_bound = default_q_gamma_bound(self.model, self.cs)
         self._D = boundary_matrix(self.order, self.model.gamma, self.horizon)
         maps = vectorization_maps(self.order, self.model.gamma, self.model.m, self.horizon)
         self._D_pinv = np.linalg.pinv(maps.D_vec)
@@ -70,32 +73,19 @@ class ReachSpec:
 
     # -- certificate construction -------------------------------------
 
-    def _drift_flow(self, x0: np.ndarray, t: float, steps: int = 64) -> np.ndarray:
-        """RK4 flow of the unforced dynamics from x0 over signed time t."""
-        x = np.asarray(x0, dtype=float).copy()
-        h = t / steps
-        for _ in range(steps):
-            k1 = self.model.drift_field(x)
-            k2 = self.model.drift_field(x + 0.5 * h * k1)
-            k3 = self.model.drift_field(x + 0.5 * h * k2)
-            k4 = self.model.drift_field(x + h * k3)
-            x = x + (h / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
-        return x
-
     def references(self, anchor: np.ndarray, direction: str) -> list[np.ndarray]:
-        """Per-segment reference points for a query anchored at `anchor`."""
+        """Per-segment reference points for a query anchored at `anchor`:
+        under the drift policy, the 64-step RK4 drift flow from the anchor
+        to each segment midpoint (backward in time for "backward")."""
         k = self.refinement
         if self.reference_policy == "fixed":
             return [self.x_ref.copy() for _ in range(k)]
         T = self.horizon
-        refs = []
-        for i in range(k):
-            t_mid = (i + 0.5) * T / k
-            if direction == "forward":
-                refs.append(self._drift_flow(anchor, t_mid))
-            else:
-                refs.append(self._drift_flow(anchor, -(T - t_mid)))
-        return refs
+        t_mid = (np.arange(k) + 0.5) * T / k
+        t = t_mid if direction == "forward" else -(T - t_mid)
+        x0 = np.tile(np.asarray(anchor, dtype=float).reshape(-1), (k, 1))
+        *_, x = rk4(lambda x, j: self.model.drift_field(x), x0, (t / 64)[:, None], 64)
+        return list(x)
 
     def certificate_for(self, refs: list[np.ndarray]) -> CertificatePolytope:
         u_eff = self.cs.effective_u_max()

@@ -1,7 +1,7 @@
 """Closed-loop verification of planned trajectories.
 
-The planning-model loop is integrated with fixed-step RK4 under a
-feedback-linearizing feedforward plus PD tracker.  The tracking
+The planning-model loop is integrated with fixed-step RK4 (`models.rk4`)
+under a feedback-linearizing feedforward plus PD tracker.  The tracking
 certificate is exercised by injecting a disturbance v with
 ||v|| <= e(u_d) on top of the integrated state; the monitor then checks
 the state polytope and the weighted input bound at every step.
@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .models import ConstraintSet, PlanningModel, TrackingCertificate, flat_input
+from .models import ConstraintSet, PlanningModel, TrackingCertificate, flat_input, rk4
 from .planner import PlannedTrajectory
 
 VIOLATION_TOL = 1e-6
@@ -133,16 +133,10 @@ def rollout(
     x = x_ref_half[:, 0].copy() if x0 is None else np.asarray(x0, dtype=float).copy()
     x_sim = np.empty((model.n, steps + 1))
     x_sim[:, 0] = x
-    h = total / steps
-    for i in range(steps):
-        k1 = closed_loop(x, 2 * i)
-        k2 = closed_loop(x + 0.5 * h * k1, 2 * i + 1)
-        k3 = closed_loop(x + 0.5 * h * k2, 2 * i + 1)
-        k4 = closed_loop(x + h * k3, 2 * i + 2)
-        x = x + (h / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
+    for i, x in enumerate(rk4(closed_loop, x, total / steps, steps), start=1):
         if np.any(x < safe_lo) or np.any(x > safe_hi):
-            raise DivergenceError(f"state {x} left the safety box at t={t_grid[i + 1]}")
-        x_sim[:, i + 1] = x
+            raise DivergenceError(f"state {x} left the safety box at t={t_grid[i]}")
+        x_sim[:, i] = x
 
     x_ref_grid = x_ref_half[:, ::2]
     ud_grid = ud_half[:, ::2]
@@ -156,12 +150,7 @@ def rollout(
             model, x_cl[:, i], x_ref_grid[:, i], ud_grid[:, i], gains
         )
 
-    state_margin = np.min(cs.d[:, None] - cs.C @ x_cl, axis=0)
-    W = cs.W if cs.W is not None else np.eye(model.m)
-    input_margin = cs.u_max - np.max(np.abs(W @ u_app), axis=0)
-    violation = bool(
-        np.any(state_margin < -VIOLATION_TOL) or np.any(input_margin < -VIOLATION_TOL)
-    )
+    state_margin, input_margin, passed = _margins(cs, x_cl, u_app)
     return RolloutResult(
         t=t_grid,
         x_ref=x_ref_grid,
@@ -171,8 +160,19 @@ def rollout(
         u=u_app,
         state_margin=state_margin,
         input_margin=input_margin,
-        violation=violation,
+        violation=not passed,
     )
+
+
+def _margins(cs: ConstraintSet, x_cl: np.ndarray, u: np.ndarray):
+    """Per-step state and input margins of states x_cl and inputs u (one
+    column per step), and whether no margin falls below -VIOLATION_TOL."""
+    state_margin = np.min(cs.d[:, None] - cs.C @ x_cl, axis=0)
+    W = cs.W if cs.W is not None else np.eye(u.shape[0])
+    input_margin = cs.u_max - np.max(np.abs(W @ u), axis=0)
+    passed = bool(np.min(state_margin) >= -VIOLATION_TOL
+                  and np.min(input_margin) >= -VIOLATION_TOL)
+    return state_margin, input_margin, passed
 
 
 def monitor(result: RolloutResult, cs: ConstraintSet) -> MarginReport:
@@ -180,14 +180,10 @@ def monitor(result: RolloutResult, cs: ConstraintSet) -> MarginReport:
     steps = result.x_cl.shape[1] if result.x_cl.size else 0
     if steps == 0:
         return MarginReport(np.inf, np.inf, True, 0)
-    state_margin = np.min(cs.d[:, None] - cs.C @ result.x_cl, axis=0)
-    W = cs.W if cs.W is not None else np.eye(result.u.shape[0])
-    input_margin = cs.u_max - np.max(np.abs(W @ result.u), axis=0)
-    min_s = float(np.min(state_margin))
-    min_u = float(np.min(input_margin))
+    state_margin, input_margin, passed = _margins(cs, result.x_cl, result.u)
     return MarginReport(
-        min_state_margin=min_s,
-        min_input_margin=min_u,
-        passed=min_s >= -VIOLATION_TOL and min_u >= -VIOLATION_TOL,
+        min_state_margin=float(np.min(state_margin)),
+        min_input_margin=float(np.min(input_margin)),
+        passed=passed,
         steps=steps,
     )

@@ -7,6 +7,7 @@ import pytest
 
 from bezreach import cli
 from bezreach.bezier import BoundaryRankError, boundary_matrix, diff_matrix, solve_boundary
+from bezreach.constraints import CertificatePolytope
 from bezreach.lp import WitnessError
 
 
@@ -164,6 +165,46 @@ def test_plan_disconnected_goal_exit_3(tmp_path, capsys):
     cfg = write_config(tmp_path, doc)
     assert cli.main(["plan", "--config", cfg, "--out", str(tmp_path / "o")]) == 3
     assert "component" in capsys.readouterr().err
+
+
+INTEGRATOR_PLAN = {
+    "seed": 0,
+    "model": {"kind": "integrator", "gamma": 2, "m": 1},
+    "certificate": {"e0": 0.01},
+    "constraints": {"C": [[1, 0], [-1, 0], [0, 1], [0, -1]], "d": [1, 1, 1, 1],
+                    "u_max": 2.0},
+    "curve": {"order": 3, "horizon": 1.0, "reference_policy": "fixed",
+              "x_ref": [0.0, 0.0], "q_gamma_bound": 10.0},
+    "planner": {"bounds": {"lo": [-0.5, -0.5], "hi": [0.5, 0.5]}, "count": 2,
+                "start": [0.0, 0.0], "goal": [0.2, 0.0]},
+}
+
+
+def test_plan_small_integrator_graph(tmp_path):
+    cfg = write_config(tmp_path, INTEGRATOR_PLAN)
+    out = tmp_path / "o"
+    assert cli.main(["plan", "--config", cfg, "--out", str(out)]) == 0
+    graph = json.loads((out / "graph.json").read_text())
+    assert set(graph) == {"seed", "vertex_count", "vertices", "edges"}
+    assert json.loads((out / "summary.json").read_text())["monitor_passed"] is True
+
+
+def test_plan_edge_rule_is_a_config_error(tmp_path, capsys):
+    # The one-horizon "forward" edge test is gone; a config that still
+    # names a rule must not run silently with another one.
+    doc = json.loads(json.dumps(INTEGRATOR_PLAN))
+    doc["planner"]["edge_rule"] = "intersection"
+    cfg = write_config(tmp_path, doc)
+    assert cli.main(["plan", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
+    assert "planner.edge_rule" in capsys.readouterr().err
+
+
+def test_plan_edge_reverification_failure_exit_4(tmp_path, monkeypatch, capsys):
+    monkeypatch.setattr(CertificatePolytope, "accepts", lambda self, *a, **k: False)
+    cfg = write_config(tmp_path, INTEGRATOR_PLAN)
+    assert cli.main(["plan", "--config", cfg, "--out", str(tmp_path / "o")]) == 4
+    err = capsys.readouterr().err
+    assert "numerical failure" in err and "fails its certificate" in err
 
 
 def test_simulate_round_trip(tmp_path):

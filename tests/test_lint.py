@@ -33,3 +33,23 @@ def test_library_does_not_import_scipy():
             found += [f"{path.name}:{node.lineno}" for name in names
                       if name.split(".")[0] == "scipy"]
     assert not found, f"scipy imports in the library: {found}"
+
+
+def test_single_rk4_implementation():
+    # One fixed-step integrator, models.rk4; an RK4 stage `k4 = ...`
+    # anywhere else in the library is a duplicate loop.
+    found, helper = [], []
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        inside = set()
+        for node in ast.walk(tree):
+            if isinstance(node, ast.FunctionDef) and node.name == "rk4" \
+                    and path.name == "models.py":
+                inside = {id(n) for n in ast.walk(node)}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and node.id == "k4" \
+                    and isinstance(node.ctx, ast.Store):
+                (helper if id(node) in inside else found).append(
+                    f"{path.name}:{node.lineno}")
+    assert helper, "models.rk4 no longer computes an RK4 stage k4"
+    assert not found, f"RK4 stages outside models.rk4: {found}"

@@ -12,6 +12,7 @@ from bezreach.models import (
     integrator_chain,
     pendulum_energy_controller,
     pendulum_model,
+    rk4,
     validate_lipschitz,
 )
 
@@ -188,3 +189,52 @@ def test_energy_controller_pumps_toward_upright_energy():
     # Hanging down with positive velocity and low energy: torque aids motion.
     u = ctrl(np.array([np.pi, 1.0]))
     assert u > 0.0
+
+
+# -- batched drift and the RK4 helper ---------------------------------------
+
+
+@pytest.mark.parametrize("model", [pendulum_model(0.1, 1.0, 9.81), integrator_chain(2, 2),
+                                   integrator_chain(3, 1)], ids=lambda m: m.name)
+def test_drift_field_is_row_wise_over_batches(model):
+    xs = np.random.default_rng(0).uniform(-4.0, 4.0, size=(3, 5, model.n))
+    batch = model.drift_field(xs)
+    f = model.f_d(xs)
+    assert batch.shape == xs.shape and f.shape == xs.shape[:-1] + (model.m,)
+    for idx in np.ndindex(xs.shape[:-1]):
+        assert np.array_equal(batch[idx], model.drift_field(xs[idx]))
+        assert np.array_equal(f[idx], model.f_d(xs[idx]))
+
+
+def test_rk4_step_is_fourth_order_taylor_of_linear_flow():
+    # For x' = A x one RK4 step is sum_{i<=4} (hA)^i / i! applied to x.
+    A = np.array([[0.0, 1.0], [-2.0, -0.3]])
+    h, x0 = 0.1, np.array([1.0, -0.5])
+    (x1,) = rk4(lambda x, j: A @ x, x0, h, 1)
+    taylor = sum(np.linalg.matrix_power(h * A, i) / np.prod(np.arange(1, i + 1))
+                 for i in range(5))
+    assert np.allclose(x1, taylor @ x0, rtol=0, atol=1e-14)
+
+
+def test_rk4_half_step_index_and_yields():
+    # f sees j = 2i, 2i+1, 2i+1, 2i+2 in step i; every yield is a new array.
+    seen = []
+
+    def f(x, j):
+        seen.append(j)
+        return np.zeros_like(x)
+
+    states = list(rk4(f, np.ones(2), 0.5, 3))
+    assert seen == [0, 1, 1, 2, 2, 3, 3, 4, 4, 5, 5, 6]
+    assert len(states) == 3 and len({id(x) for x in states}) == 3
+
+
+def test_rk4_row_steps_match_scalar_runs():
+    # An array step broadcast over a batch does each row's scalar arithmetic.
+    model = pendulum_model(0.1, 1.0, 9.81)
+    x0 = np.random.default_rng(1).uniform(-3.0, 3.0, size=(6, 2))
+    h = np.linspace(-0.02, 0.03, 6)
+    *_, batch = rk4(lambda x, j: model.drift_field(x), x0, h[:, None], 20)
+    for row, hi, x in zip(batch, h, x0):
+        *_, single = rk4(lambda y, j: model.drift_field(y), x, hi, 20)
+        assert np.array_equal(row, single)

@@ -117,17 +117,6 @@ def test_edge_set_monotone_in_u_max():
     assert counts == sorted(counts)
 
 
-def test_forward_edge_rule_matches_membership():
-    spec = integrator_spec()
-    verts = sample_vertices((np.array([-0.5, -0.5]), np.array([0.5, 0.5])),
-                            10, seed=12)
-    graph = build_graph(verts, spec, edge_rule="forward")
-    for i in range(10):
-        fwd = spec.forward_polytope(verts[i])
-        for j in range(10):
-            assert ((i, j) in graph.edges) == fwd.contains(verts[j], tol=1e-9)
-
-
 def test_graph_deterministic():
     spec = integrator_spec()
     verts = sample_vertices((np.array([-0.5, -0.5]), np.array([0.5, 0.5])),

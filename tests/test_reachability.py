@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from bezreach import lp
+from bezreach import constraints, lp, reachability
 from bezreach.bezier import basis_matrix, state_matrix
 from bezreach.models import (
     ConstraintSet,
@@ -152,6 +152,72 @@ def test_drift_policy_references_follow_flow():
     assert np.linalg.norm(refs[0] - anchor) < 0.5
     # The references advance along the flow.
     assert not np.allclose(refs[0], refs[-1])
+
+
+def drift_flow_oracle(model, x0, t, steps=64):
+    """Scalar RK4 drift flow from x0 over signed time t, one restart per
+    call: the per-reference loop that `references` replaced."""
+    x = np.asarray(x0, dtype=float).copy()
+    h = t / steps
+    for _ in range(steps):
+        k1 = model.drift_field(x)
+        k2 = model.drift_field(x + 0.5 * h * k1)
+        k3 = model.drift_field(x + 0.5 * h * k2)
+        k4 = model.drift_field(x + h * k3)
+        x = x + (h / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
+    return x
+
+
+@pytest.mark.parametrize("k", [1, 4, 10])
+@pytest.mark.parametrize("kind", ["pendulum", "integrator2x2"])
+def test_drift_references_match_scalar_restarts(kind, k):
+    # One batched flow over the k midpoints does the same IEEE arithmetic
+    # per row as k separate restarts, so the references are bit-identical.
+    if kind == "pendulum":
+        model = pendulum_model(0.1, 1.0, 9.81)
+        cs = box_constraints([-1.0, -7.5], [2 * np.pi + 1, 7.5], 2.0)
+        anchors = np.random.default_rng(k).uniform([-1.0, -7.0], [7.0, 7.0], (20, 2))
+    else:
+        model = integrator_chain(2, 2)
+        cs = box_constraints([-1.0] * 4, [1.0] * 4, 2.0)
+        anchors = np.random.default_rng(k).uniform(-1.0, 1.0, (5, 4))
+    T = 0.3
+    spec = ReachSpec(model, TrackingCertificate(0.005, 0.0, 1.0, 1.0, 1.0), cs,
+                     order=3, horizon=T, refinement=k, reference_policy="drift",
+                     q_gamma_bound=70.0)
+    for anchor in anchors:
+        for direction in ("forward", "backward"):
+            refs = spec.references(anchor, direction)
+            assert len(refs) == k
+            for i, ref in enumerate(refs):
+                t_mid = (i + 0.5) * T / k
+                t = t_mid if direction == "forward" else -(T - t_mid)
+                assert np.array_equal(ref, drift_flow_oracle(model, anchor, t))
+
+
+def test_default_q_gamma_bound_resolved_once_per_spec(monkeypatch):
+    real = constraints.default_q_gamma_bound
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(constraints, "default_q_gamma_bound", counting)
+    monkeypatch.setattr(reachability, "default_q_gamma_bound", counting, raising=False)
+    spec = pendulum_spec(policy="drift", refinement=10)
+    implicit = ReachSpec(spec.model, spec.cert, spec.cs, order=3, horizon=0.3,
+                         refinement=10, reference_policy="drift")
+    queries = [(np.array(a), d) for a in ([np.pi, 0.0], [np.pi + 0.5, 1.0])
+               for d in ("forward", "backward")]
+    certs = [implicit.certificate(a, d) for a, d in queries]
+    assert len(calls) == 1
+    explicit = ReachSpec(spec.model, spec.cert, spec.cs, order=3, horizon=0.3,
+                         refinement=10, reference_policy="drift",
+                         q_gamma_bound=real(spec.model, spec.cs))
+    for cert, (a, d) in zip(certs, queries):
+        other = explicit.certificate(a, d)
+        assert np.array_equal(cert.F, other.F) and np.array_equal(cert.G, other.G)
 
 
 def test_state_box_is_reduced_once_per_constraint_set(monkeypatch):

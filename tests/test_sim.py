@@ -189,3 +189,24 @@ def test_inflated_disturbance_detected_as_violation():
                   disturbance_scale=10.0)
     assert res.violation
     assert not monitor(res, cs).passed
+
+
+@pytest.mark.parametrize("policy", ["zero", "worst", "random"])
+@pytest.mark.parametrize("scale", [1.0, 10.0])
+def test_violation_flag_agrees_with_monitor(policy, scale):
+    # A tight box around the hop, so the inflated tube trips the check
+    # under some policies and not under others.
+    model = pendulum_model(0.1, 1.0, 9.81)
+    cs = box_constraints([np.pi - 0.1, -1.0], [np.pi + 0.5, 1.0], 5.0)
+    cert = TrackingCertificate(0.02, 0.0, 1.0, 1.0, 1.0)
+    traj = hop_trajectory(np.array([np.pi, 0.0]), np.array([np.pi + 0.3, 0.0]), T=0.5)
+    res = rollout(model, traj, cs, cert, disturbance=policy, seed=4,
+                  disturbance_scale=scale)
+    report = monitor(res, cs)
+    assert res.violation == (not report.passed)
+    assert report.min_state_margin == np.min(res.state_margin)
+    assert report.min_input_margin == np.min(res.input_margin)
+    if policy == "zero":
+        assert not res.violation
+    elif scale == 10.0:
+        assert res.violation
