@@ -149,6 +149,15 @@ def derivative_map(p: int, T: float) -> np.ndarray:
     return diff_matrix(p, T) @ elevation_matrix(p)
 
 
+def derivative_powers(p: int, T: float, count: int) -> np.ndarray:
+    """H^0..H^(count-1) of `derivative_map(p, T)`, stacked on axis 0."""
+    H = derivative_map(p, T)
+    powers = [np.eye(p + 1)]
+    for _ in range(count - 1):
+        powers.append(powers[-1] @ H)
+    return np.stack(powers)
+
+
 def _subdivision_matrices(p: int, u: float):
     """de Casteljau split at phase u: right multipliers (L, R) with
     points @ L the [0, u] segment and points @ R the [u, 1] segment,
@@ -208,14 +217,8 @@ def boundary_matrix(p: int, gamma: int, T: float) -> np.ndarray:
             f"order {p} cannot interpolate {gamma} derivative boundary values "
             f"(need p >= {2 * gamma - 1})"
         )
-    H = derivative_map(p, T)
-    Hk = np.eye(p + 1)
-    cols0, colsT = [], []
-    for _ in range(gamma):
-        cols0.append(Hk[:, 0].copy())
-        colsT.append(Hk[:, p].copy())
-        Hk = Hk @ H
-    D = np.column_stack(cols0 + colsT)
+    powers = derivative_powers(p, T, gamma)
+    D = np.hstack([powers[:, :, 0].T, powers[:, :, p].T])
     if np.linalg.matrix_rank(D) != 2 * gamma:
         raise BoundaryRankError(f"boundary matrix of order {p} lost rank")
     return D
@@ -277,20 +280,9 @@ def stacked_derivative_vec(p: int, T: float, m: int, n_blocks: int) -> np.ndarra
     Maps vec(points) to vec([points@H^0; ...; points@H^(n_blocks-1)])
     for an m-row point matrix of order p.
     """
-    H = derivative_map(p, T)
-    p1 = p + 1
-    out = np.zeros((n_blocks * m * p1, m * p1))
-    Hk = np.eye(p1)
-    for k in range(n_blocks):
-        # vec of the stack: row index i + m*k + m*n_blocks*j holds (points@H^k)_{i,j}
-        for j in range(p1):
-            for c in range(p1):
-                w = Hk[c, j]
-                if w != 0.0:
-                    rows = np.arange(m) + m * k + m * n_blocks * j
-                    out[rows, np.arange(m) + m * c] += w
-        Hk = Hk @ H
-    return out
+    # Row (j, k) of the stack holds column j of H^k, i.e. row j of (H^k)^T.
+    powers_T = derivative_powers(p, T, n_blocks).transpose(2, 0, 1)
+    return np.kron(powers_T.reshape(-1, p + 1), np.eye(m))
 
 
 @dataclass(frozen=True)

@@ -182,6 +182,16 @@ def _write_rollout_csv(out: Path, model, res) -> None:
     )
 
 
+def _write_summary(out: Path, report, **extra) -> None:
+    """summary.json: the monitor verdict plus the command's own keys."""
+    artifacts.write_json(out / "summary.json", {
+        "monitor_passed": report.passed,
+        "min_state_margin": report.min_state_margin,
+        "min_input_margin": report.min_input_margin,
+        **extra,
+    })
+
+
 def cmd_matrices(cfg: dict, out: Path, seed: int) -> int:
     t0 = time.perf_counter()
     model = build_model(cfg)
@@ -328,16 +338,14 @@ def cmd_plan(cfg: dict, out: Path, seed: int) -> int:
         np.column_stack([ts, states.T, qg.T]),
     )
     _write_rollout_csv(out, model, res)
-    artifacts.write_json(out / "summary.json", {
-        "path": [int(i) for i in path],
-        "path_edges": len(path) - 1,
-        "graph_edges": len(graph.edges),
-        "vertices": int(verts.shape[0]),
-        "monitor_passed": report.passed,
-        "min_state_margin": report.min_state_margin,
-        "min_input_margin": report.min_input_margin,
-        "total_duration": traj.total_duration,
-    })
+    _write_summary(
+        out, report,
+        path=[int(i) for i in path],
+        path_edges=len(path) - 1,
+        graph_edges=len(graph.edges),
+        vertices=int(verts.shape[0]),
+        total_duration=traj.total_duration,
+    )
     if model.n == 2:
         artifacts.write_polyline_svg(out / "trajectory.svg", states.T)
         files.append("trajectory.svg")
@@ -368,13 +376,7 @@ def cmd_simulate(cfg: dict, out: Path, seed: int) -> int:
     report = monitor(res, cs)
     files = ["rollout.csv", "summary.json"]
     _write_rollout_csv(out, model, res)
-    artifacts.write_json(out / "summary.json", {
-        "monitor_passed": report.passed,
-        "min_state_margin": report.min_state_margin,
-        "min_input_margin": report.min_input_margin,
-        "violation": res.violation,
-        "steps": report.steps,
-    })
+    _write_summary(out, report, violation=res.violation, steps=report.steps)
     _finish(out, cfg, "simulate", seed, files, t0)
     return EXIT_OK
 

@@ -17,7 +17,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .bezier import split_matrices, stacked_derivative_vec
+from .bezier import derivative_powers, split_matrices
 from .models import ConstraintSet, PlanningModel, TrackingCertificate
 
 class InfeasibleCertificateError(ValueError):
@@ -52,10 +52,6 @@ class LiftedLinearConstraints:
     L: np.ndarray
     h: np.ndarray
     reference: np.ndarray
-
-    @property
-    def rows(self) -> int:
-        return self.L.shape[0]
 
 
 @dataclass(frozen=True)
@@ -204,22 +200,19 @@ def _expand_norm_row(
     f_ref: np.ndarray,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Signed-permutation expansion of c1||x-x_ref|| + c2||q-f_ref|| +
-    a1^T x <= delta into 4nm linear rows on [x; q]."""
+    a1^T x <= delta into 4nm linear rows on [x; q], ordered by
+    (i, j, s1, s2) with state index i, input index j and signs s1, s2
+    (+1 before -1)."""
     n = x_ref.shape[0]
     m = f_ref.shape[0]
-    rows = []
-    rhs = []
-    for i in range(n):
-        for j in range(m):
-            for s1 in (1.0, -1.0):
-                for s2 in (1.0, -1.0):
-                    lx = a1.copy()
-                    lx[i] += c[0] * s1
-                    lq = np.zeros(m)
-                    lq[j] = c[1] * s2
-                    rows.append(np.concatenate([lx, lq]))
-                    rhs.append(delta + c[0] * s1 * x_ref[i] + c[1] * s2 * f_ref[j])
-    return np.array(rows), np.array(rhs)
+    i, j, k1, k2 = np.indices((n, m, 2, 2)).reshape(4, -1)
+    s1, s2 = 1.0 - 2.0 * k1, 1.0 - 2.0 * k2
+    r = np.arange(i.size)
+    rows = np.zeros((i.size, n + m))
+    rows[:, :n] = a1
+    rows[r, i] += c[0] * s1
+    rows[r, n + j] = c[1] * s2
+    return rows, delta + c[0] * s1 * x_ref[i] + c[1] * s2 * f_ref[j]
 
 
 def sigma_box(
@@ -308,65 +301,19 @@ def lift_rows(
         L_blocks.append(Lr)
         h_blocks.append(hr)
 
-    # sigma-box enforcement: |x_i - x_ref_i| <= s1, |q_j - f_ref_j| <= s2.
+    # sigma-box enforcement: |x_i - x_ref_i| <= s1, |q_j - f_ref_j| <= s2,
+    # one (+, -) row pair per coordinate.
+    idx = np.arange(n + m)
     box_L = np.zeros((2 * (n + m), n + m))
-    box_h = np.zeros(2 * (n + m))
-    for i in range(n):
-        box_L[2 * i, i] = 1.0
-        box_h[2 * i] = s_max[0] + x_ref[i]
-        box_L[2 * i + 1, i] = -1.0
-        box_h[2 * i + 1] = s_max[0] - x_ref[i]
-    for j in range(m):
-        r = 2 * n + 2 * j
-        box_L[r, n + j] = 1.0
-        box_h[r] = s_max[1] + f_ref[j]
-        box_L[r + 1, n + j] = -1.0
-        box_h[r + 1] = s_max[1] - f_ref[j]
+    box_L[2 * idx, idx] = 1.0
+    box_L[2 * idx + 1, idx] = -1.0
+    radius = np.repeat(s_max, [n, m])
+    center = np.concatenate([x_ref, f_ref])
     L_blocks.append(box_L)
-    h_blocks.append(box_h)
+    h_blocks.append(np.column_stack([radius + center, radius - center]).ravel())
 
     return LiftedLinearConstraints(
         L=np.vstack(L_blocks), h=np.concatenate(h_blocks), reference=x_ref
-    )
-
-
-def control_point_polytope(
-    lifted: LiftedLinearConstraints,
-    p: int,
-    T: float,
-    gamma: int,
-    m: int,
-) -> CertificatePolytope:
-    """Impose the lifted rows on every state-space control point column
-    and vectorize: F vec(p) <= G with (p+1) * rows(L) rows."""
-    if p < gamma:
-        raise ValueError(f"order {p} < gamma {gamma}")
-    n = gamma * m
-    if lifted.L.size and lifted.L.shape[1] != n + m:
-        raise ValueError(
-            f"lifted rows act on R^{lifted.L.shape[1]}, expected {n + m}"
-        )
-    if lifted.rows == 0:
-        return CertificatePolytope(
-            F=np.zeros((0, m * (p + 1))),
-            G=np.zeros(0),
-            metadata={"order": p, "gamma": gamma, "m": m, "horizon": T},
-        )
-    ext_vec = stacked_derivative_vec(p, T, m, gamma + 1)
-    F = np.kron(np.eye(p + 1), lifted.L) @ ext_vec
-    G = np.tile(lifted.h, p + 1)
-    return CertificatePolytope(
-        F=F,
-        G=G,
-        metadata={
-            "order": p,
-            "gamma": gamma,
-            "m": m,
-            "horizon": T,
-            "refinement": 1,
-            "references": [lifted.reference.tolist()],
-            "direction_rule": "N + Mhat @ s_max",
-        },
     )
 
 
@@ -377,22 +324,34 @@ def refined_polytope(
     gamma: int,
     m: int,
 ) -> CertificatePolytope:
-    """Stack per-segment certificates composed with the k-refinement
-    splitting maps; one lifted constraint set (and reference) per segment."""
+    """Impose segment i's lifted rows on every state-space control point of
+    the i-th piece of the uniform k-refinement, k = len(lifted_segments),
+    and vectorize: F vec(p) <= G with (p+1) * rows(L_i) rows per segment.
+
+    k = 1 is the unrefined certificate, since its split matrix is the
+    identity.  Each piece runs for T / k, which sets the derivative scale.
+    """
     k = len(lifted_segments)
     if k < 1:
         raise ValueError("need at least one segment")
-    Qs = split_matrices(p, k)
+    if p < gamma:
+        raise ValueError(f"order {p} < gamma {gamma}")
+    for lifted in lifted_segments:
+        if lifted.L.size and lifted.L.shape[1] != (gamma + 1) * m:
+            raise ValueError(
+                f"lifted rows act on R^{lifted.L.shape[1]}, expected {(gamma + 1) * m}"
+            )
+    powers = derivative_powers(p, T / k, gamma + 1)
     F_blocks = []
-    G_blocks = []
-    for lifted, Q in zip(lifted_segments, Qs):
-        # Each subsegment runs for T / k, which changes the derivative scale.
-        base = control_point_polytope(lifted, p, T / k, gamma, m)
-        F_blocks.append(base.F @ np.kron(Q.T, np.eye(m)))
-        G_blocks.append(base.G)
+    for lifted, Q in zip(lifted_segments, split_matrices(p, k)):
+        # W[l, c, j] = (Q H^l)[c, j]: control point c of the curve feeds
+        # derivative l at control point j of this piece.
+        W = Q @ powers
+        L = lifted.L.reshape(-1, gamma + 1, m)
+        F_blocks.append(np.einsum("rla,lcj->jrca", L, W).reshape(-1, m * (p + 1)))
     return CertificatePolytope(
         F=np.vstack(F_blocks),
-        G=np.concatenate(G_blocks),
+        G=np.concatenate([np.tile(ls.h, p + 1) for ls in lifted_segments]),
         metadata={
             "order": p,
             "gamma": gamma,

@@ -177,9 +177,6 @@ class TrackingCertificate:
     def error_bound(self, u_norm: float) -> float:
         return self.e0 + self.lipschitz_e * abs(u_norm)
 
-    def feasible_for(self, u_max: float) -> bool:
-        return u_max - self.e0 > 0
-
     @staticmethod
     def exact() -> "TrackingCertificate":
         return TrackingCertificate(0.0, 0.0, 1.0, 1.0, 0.0)

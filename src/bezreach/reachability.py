@@ -17,7 +17,6 @@ from . import lp
 from .bezier import BezierCurve, boundary_matrix, solve_boundary, vectorization_maps
 from .constraints import (
     CertificatePolytope,
-    control_point_polytope,
     default_q_gamma_bound,
     input_bound_row,
     lift_rows,
@@ -89,16 +88,16 @@ class ReachSpec:
 
     def certificate_for(self, refs: list[np.ndarray]) -> CertificatePolytope:
         u_eff = self.cs.effective_u_max()
-        lifted = []
-        for ref in refs:
-            rows = [input_bound_row(self.cert, ref, u_eff)]
-            rows.extend(state_bound_rows(self.cs, self.cert))
-            s_max = sigma_box(self.model, self.cs, ref, self.q_gamma_bound)
-            lifted.append(lift_rows(rows, self.model, ref, s_max))
-        if len(lifted) == 1:
-            return control_point_polytope(
-                lifted[0], self.order, self.horizon, self.model.gamma, self.model.m
+        state_rows = state_bound_rows(self.cs, self.cert)
+        lifted = [
+            lift_rows(
+                [input_bound_row(self.cert, ref, u_eff), *state_rows],
+                self.model,
+                ref,
+                sigma_box(self.model, self.cs, ref, self.q_gamma_bound),
             )
+            for ref in refs
+        ]
         return refined_polytope(
             lifted, self.order, self.horizon, self.model.gamma, self.model.m
         )

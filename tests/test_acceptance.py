@@ -25,9 +25,9 @@ from bezreach.bezier import (
 )
 from bezreach.constraints import (
     MixedConstraintRow,
-    control_point_polytope,
     input_bound_row,
     lift_rows,
+    refined_polytope,
     sigma_box,
     state_bound_rows,
 )
@@ -221,7 +221,7 @@ def test_integrator_certificate_matches_brute_force_grid():
     s_max = sigma_box(model, cs, x_ref, q_gamma_bound=97.3)
     lifted = lift_rows(rows, model, x_ref, s_max)
     p, T = 3, 1.0
-    poly = control_point_polytope(lifted, p, T, 2, 1)
+    poly = refined_polytope([lifted], p, T, 2, 1)
     ext = stacked_derivative_vec(p, T, 1, 3)  # (x, v, q) stack per control point
 
     g = np.arange(-1.0, 1.0001, 0.05)

@@ -276,6 +276,29 @@ def test_stacked_derivative_vec_oracle():
         assert np.allclose(Hv @ P.reshape(-1, order="F"), stack.reshape(-1, order="F"))
 
 
+def test_derivative_power_maps_equal_loop_construction():
+    # The loops stacked_derivative_vec and boundary_matrix replaced; the
+    # entries agree exactly (a zero may differ in sign).
+    for p, T, m, blocks in [(3, 0.15, 1, 3), (4, 1.7, 2, 3), (5, 0.9, 2, 2), (7, 2.0, 3, 4)]:
+        H = derivative_map(p, T)
+        out = np.zeros((blocks * m * (p + 1), m * (p + 1)))
+        cols0, colsT = [], []
+        Hk = np.eye(p + 1)
+        for k in range(blocks):
+            for j in range(p + 1):
+                for c in range(p + 1):
+                    if Hk[c, j] != 0.0:
+                        rows = np.arange(m) + m * k + m * blocks * j
+                        out[rows, np.arange(m) + m * c] += Hk[c, j]
+            cols0.append(Hk[:, 0].copy())
+            colsT.append(Hk[:, p].copy())
+            Hk = Hk @ H
+        assert np.array_equal(stacked_derivative_vec(p, T, m, blocks), out)
+        if p >= 2 * blocks - 1:
+            assert np.array_equal(boundary_matrix(p, blocks, T),
+                                  np.column_stack(cols0 + colsT))
+
+
 def test_state_matrix_matches_stacked_vec():
     rng = np.random.default_rng(10)
     p, T, gamma, m = 5, 0.9, 2, 2

@@ -11,15 +11,16 @@ from bezreach.bezier import (
     derivative_map,
     solve_boundary,
     split_matrices,
+    stacked_derivative_vec,
     state_matrix,
 )
 from bezreach.constraints import (
     InfeasibleCertificateError,
     LiftedLinearConstraints,
     MixedConstraintRow,
+    _expand_norm_row,
     _level_set_radius,
     _psd_projection_2x2,
-    control_point_polytope,
     input_bound_row,
     lift_rows,
     refined_polytope,
@@ -120,6 +121,75 @@ def test_lift_pure_state_row_passthrough():
     lifted = lift_rows([row], model, np.zeros(2), np.array([1.0, 1.0]))
     assert np.allclose(lifted.L[0], [1.0, -2.0, 0.0])
     assert np.isclose(lifted.h[0], 0.7)
+
+
+def loop_expand_norm_row(a1, c, delta, x_ref, f_ref):
+    """The row-by-row signed-permutation expansion `_expand_norm_row` replaced."""
+    n, m = x_ref.shape[0], f_ref.shape[0]
+    rows, rhs = [], []
+    for i in range(n):
+        for j in range(m):
+            for s1 in (1.0, -1.0):
+                for s2 in (1.0, -1.0):
+                    lx = a1.copy()
+                    lx[i] += c[0] * s1
+                    lq = np.zeros(m)
+                    lq[j] = c[1] * s2
+                    rows.append(np.concatenate([lx, lq]))
+                    rhs.append(delta + c[0] * s1 * x_ref[i] + c[1] * s2 * f_ref[j])
+    return np.array(rows), np.array(rhs)
+
+
+def loop_sigma_box_rows(s_max, x_ref, f_ref):
+    """The row-by-row sigma-box rows `lift_rows` replaced."""
+    n, m = x_ref.shape[0], f_ref.shape[0]
+    box_L = np.zeros((2 * (n + m), n + m))
+    box_h = np.zeros(2 * (n + m))
+    for i in range(n):
+        box_L[2 * i, i] = 1.0
+        box_h[2 * i] = s_max[0] + x_ref[i]
+        box_L[2 * i + 1, i] = -1.0
+        box_h[2 * i + 1] = s_max[0] - x_ref[i]
+    for j in range(m):
+        r = 2 * n + 2 * j
+        box_L[r, n + j] = 1.0
+        box_h[r] = s_max[1] + f_ref[j]
+        box_L[r + 1, n + j] = -1.0
+        box_h[r + 1] = s_max[1] - f_ref[j]
+    return box_L, box_h
+
+
+def assert_bitwise_equal(a, b):
+    assert a.shape == b.shape and a.dtype == b.dtype
+    assert a.tobytes() == b.tobytes()
+
+
+@pytest.mark.parametrize(
+    "model",
+    [pendulum_model(0.1, 1.0, 9.81), integrator_chain(2, 1), integrator_chain(4, 1),
+     integrator_chain(1, 2), integrator_chain(2, 2)],
+    ids=lambda model: model.name,
+)
+def test_lift_rows_bitwise_equal_to_loop_construction(model):
+    # n in {2, 4}, m in {1, 2}; state terms both zero and nonzero.
+    n, m = model.n, model.m
+    rng = np.random.default_rng(10 * n + m)
+    for trial in range(6):
+        a1 = rng.normal(size=n) if trial % 2 else np.zeros(n)
+        c = rng.uniform(0.1, 3.0, size=2)
+        delta = float(rng.normal())
+        x_ref, f_ref = rng.normal(size=n), rng.normal(size=m)
+        for got, want in zip(_expand_norm_row(a1, c, delta, x_ref, f_ref),
+                             loop_expand_norm_row(a1, c, delta, x_ref, f_ref)):
+            assert_bitwise_equal(got, want)
+
+        s_max = rng.uniform(0.5, 3.0, size=2)
+        row = MixedConstraintRow(a1, float(rng.uniform(0.0, 1.0)), 0.5, 5.0)
+        lifted = lift_rows([row], model, x_ref, s_max)
+        f_ref = np.atleast_1d(model.f_d(x_ref))
+        box_L, box_h = loop_sigma_box_rows(s_max, x_ref, f_ref)
+        assert_bitwise_equal(lifted.L[-2 * (n + m):], box_L)
+        assert_bitwise_equal(lifted.h[-2 * (n + m):], box_h)
 
 
 def sample_in_lift(rng, lifted, n, m, count, x_ref, s_max):
@@ -274,7 +344,7 @@ def test_empty_lift_accepts_everything():
     lifted = LiftedLinearConstraints(
         L=np.zeros((0, 3)), h=np.zeros(0), reference=np.zeros(2)
     )
-    cert = control_point_polytope(lifted, 3, 1.0, 2, 1)
+    cert = refined_polytope([lifted], 3, 1.0, 2, 1)
     assert cert.F.shape[0] == 0
     assert cert.accepts(np.random.default_rng(0).normal(size=(1, 4)))
 
@@ -288,7 +358,7 @@ def test_polytope_equals_per_point_enumeration():
     rows += state_bound_rows(cs, TrackingCertificate.exact())
     lifted = lift_rows(rows, model, np.zeros(2), np.array([1.0, 2.0]))
     p, T = 3, 1.0
-    cert = control_point_polytope(lifted, p, T, 2, 1)
+    cert = refined_polytope([lifted], p, T, 2, 1)
     H = derivative_map(p, T)
     rng = np.random.default_rng(2)
     for _ in range(200):
@@ -304,7 +374,7 @@ def test_accepted_curves_satisfy_continuous_constraints():
     rows = state_bound_rows(cs, TrackingCertificate.exact())
     lifted = lift_rows(rows, model, np.zeros(2), np.array([1.0, 2.0]))
     p, T = 4, 1.5
-    cert = control_point_polytope(lifted, p, T, 2, 1)
+    cert = refined_polytope([lifted], p, T, 2, 1)
     rng = np.random.default_rng(3)
     ts = np.linspace(0, T, 2000)
     Z = basis_matrix(p, T, ts)
@@ -323,7 +393,7 @@ def test_rejected_when_control_point_outside():
     cs = box_constraints([-1, -1], [1, 1], 2.0)
     rows = state_bound_rows(cs, TrackingCertificate.exact())
     lifted = lift_rows(rows, model, np.zeros(2), np.array([1.0, 2.0]))
-    cert = control_point_polytope(lifted, 3, 1.0, 2, 1)
+    cert = refined_polytope([lifted], 3, 1.0, 2, 1)
     P = np.array([[0.0, 5.0, 0.0, 0.0]])
     assert not cert.accepts(P)
 
@@ -339,7 +409,7 @@ def test_monotonicity_in_u_max():
     def build(cs):
         rows = [input_bound_row(cert, x_ref, cs.u_max)]
         rows += state_bound_rows(cs, cert)
-        return control_point_polytope(lift_rows(rows, model, x_ref, s), 3, 1.0, 2, 1)
+        return refined_polytope([lift_rows(rows, model, x_ref, s)], 3, 1.0, 2, 1)
 
     lo, hi = build(cs_lo), build(cs_hi)
     assert np.array_equal(lo.F, hi.F)
@@ -359,13 +429,49 @@ def make_pendulum_lift(x_ref, u_max=5.0, q_bound=40.0):
     return lift_rows(rows, model, x_ref, s)
 
 
-def test_refinement_k1_reproduces_base():
-    x_ref = np.array([0.5, 0.0])
-    lifted = make_pendulum_lift(x_ref)
-    base = control_point_polytope(lifted, 3, 1.0, 2, 1)
-    ref = refined_polytope([lifted], 3, 1.0, 2, 1)
-    assert np.array_equal(base.F, ref.F)
-    assert np.array_equal(base.G, ref.G)
+def kron_refined_polytope(lifted_segments, p, T, gamma, m):
+    """The assembly refined_polytope replaced: each segment's rows imposed
+    per control point through the vectorized derivative stack, composed
+    with the segment's split map."""
+    k = len(lifted_segments)
+    ext = stacked_derivative_vec(p, T / k, m, gamma + 1)
+    F = [np.kron(np.eye(p + 1), ls.L) @ ext @ np.kron(Q.T, np.eye(m))
+         for ls, Q in zip(lifted_segments, split_matrices(p, k))]
+    return np.vstack(F), np.concatenate([np.tile(ls.h, p + 1) for ls in lifted_segments])
+
+
+@pytest.mark.parametrize("k", [1, 2, 4, 10])
+def test_refined_polytope_matches_kron_construction(k):
+    from bezreach.reachability import ReachSpec
+
+    pend = pendulum_model(0.1, 1.0, 9.81)
+    pend_cs = box_constraints([-0.5, -7.0], [2 * np.pi + 0.5, 7.0], 5.0)
+    chain = integrator_chain(2, 2)
+    chain_cs = box_constraints(-np.ones(4), np.ones(4), 2.0)
+    cert = TrackingCertificate(0.005, 0.0, 1.0, 1.0, 1.0)
+    rng = np.random.default_rng(k)
+    cases = [(ReachSpec(pend, cert, pend_cs, order=3, horizon=0.15, refinement=k,
+                        reference_policy="drift", q_gamma_bound=70.0), a)
+             for a in rng.uniform([-0.3, -5.0], [2 * np.pi + 0.3, 5.0], size=(4, 2))]
+    cases += [(ReachSpec(chain, cert, chain_cs, order=4, horizon=1.0, refinement=k,
+                         reference_policy="drift", q_gamma_bound=10.0), a)
+              for a in rng.uniform(-0.5, 0.5, size=(2, 4))]
+    for spec, anchor in cases:
+        m = spec.model.m
+        for direction in ("forward", "backward"):
+            refs = spec.references(anchor, direction)
+            lifted = [lift_rows([input_bound_row(cert, r, spec.cs.effective_u_max()),
+                                 *state_bound_rows(spec.cs, cert)], spec.model, r,
+                                sigma_box(spec.model, spec.cs, r, spec.q_gamma_bound))
+                      for r in refs]
+            cert_poly = refined_polytope(lifted, spec.order, spec.horizon, 2, m)
+            F, G = kron_refined_polytope(lifted, spec.order, spec.horizon, 2, m)
+            assert np.array_equal(cert_poly.G, G)
+            assert cert_poly.F.shape == F.shape
+            assert np.max(np.abs(cert_poly.F - F)) <= 1e-12 * np.max(np.abs(F))
+            built = spec.certificate_for(refs)
+            assert np.array_equal(built.F, cert_poly.F)
+            assert np.array_equal(built.G, cert_poly.G)
 
 
 def test_refined_acceptance_matches_split_oracle():
@@ -375,7 +481,7 @@ def test_refined_acceptance_matches_split_oracle():
     lifted = make_pendulum_lift(x_ref)
     p, T, k = 3, 1.0, 4
     ref = refined_polytope([lifted] * k, p, T, 2, 1)
-    seg_base = control_point_polytope(lifted, p, T / k, 2, 1)
+    seg_base = refined_polytope([lifted], p, T / k, 2, 1)
     Qs = split_matrices(p, k)
     rng = np.random.default_rng(4)
     for _ in range(100):
@@ -407,7 +513,7 @@ def test_refinement_reduces_conservatism_on_swing():
 
 def test_halfspace_text_round_trip_values():
     lifted = make_pendulum_lift(np.zeros(2))
-    cert = control_point_polytope(lifted, 3, 1.0, 2, 1)
+    cert = refined_polytope([lifted], 3, 1.0, 2, 1)
     text = cert.to_halfspace_text()
     lines = text.strip().split("\n")
     assert len(lines) == cert.F.shape[0]

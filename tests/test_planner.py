@@ -186,17 +186,16 @@ def test_search_unreachable_reports_component():
     assert exc.value.component_size == 2
 
 
-def brute_force_cost(edges, num, start, goal, cost):
-    best = None
-    for length in range(num + 1):
-        for mid in itertools.product(range(num), repeat=length):
-            path = (start,) + mid + (goal,)
-            if all((a, b) in edges for a, b in zip(path, path[1:])):
-                c = cost * (len(path) - 1)
-                best = c if best is None else min(best, c)
-        if best is not None:
-            return best
-    return best
+def hop_count_cost(edges, num, start, goal, cost):
+    """Exact shortest-path cost: the fewest hops h <= num + 1 for which
+    A^h counts a walk from start to goal (at most 8^9 walks, no overflow)."""
+    A = np.zeros((num, num), dtype=np.int64)
+    for a, b in edges:
+        A[a, b] = 1
+    for hops in range(1, num + 2):
+        if np.linalg.matrix_power(A, hops)[start, goal] > 0:
+            return cost * hops
+    return None
 
 
 def test_search_matches_brute_force_small_graphs():
@@ -211,13 +210,15 @@ def test_search_matches_brute_force_small_graphs():
         }
         graph = make_graph(num, edges)
         start, goal = 0, num - 1
-        expected = brute_force_cost(edges, num, start, goal, graph.edge_cost)
+        expected = hop_count_cost(edges, num, start, goal, graph.edge_cost)
         if expected is None:
             with pytest.raises(UnreachableGoalError):
                 search(graph, start, goal)
         else:
             path = search(graph, start, goal)
             assert np.isclose((len(path) - 1) * graph.edge_cost, expected)
+            assert path[0] == start and path[-1] == goal
+            assert all((a, b) in edges for a, b in zip(path, path[1:]))
 
 
 # -- trajectory extraction ---------------------------------------------------
