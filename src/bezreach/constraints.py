@@ -12,7 +12,7 @@ every state-space control point and vectorized into F vec(p) <= G
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
@@ -60,7 +60,6 @@ class CertificatePolytope:
 
     F: np.ndarray
     G: np.ndarray
-    metadata: dict = field(default_factory=dict)
 
     def accepts(self, points: np.ndarray, tol: float = 1e-8) -> bool:
         vec = np.asarray(points, dtype=float).reshape(-1, order="F")
@@ -245,9 +244,7 @@ def default_q_gamma_bound(model: PlanningModel, cs: ConstraintSet, samples: int 
     rng = np.random.default_rng(0)
     xs = rng.uniform(lo, hi, size=(samples, model.n))
     f_max = float(np.max(np.abs(model.f_d(xs))))
-    g_max = max(
-        float(np.max(np.sum(np.abs(np.atleast_2d(model.g_d(x))), axis=1))) for x in xs
-    )
+    g_max = float(np.max(np.sum(np.abs(model.g_d(xs)), axis=-1)))
     return f_max + g_max * cs.effective_u_max()
 
 
@@ -272,7 +269,7 @@ def lift_rows(
     n = model.n
     m = model.m
     f_ref = np.atleast_1d(model.f_d(x_ref))
-    g_ref_inv = np.linalg.inv(np.atleast_2d(model.g_d(x_ref)))
+    g_ref_inv = np.linalg.inv(model.g_d(x_ref))
     g0 = float(np.max(np.sum(np.abs(g_ref_inv), axis=1)))
     L_f = model.lipschitz_f
     L_G = model.lipschitz_ginv
@@ -352,13 +349,4 @@ def refined_polytope(
     return CertificatePolytope(
         F=np.vstack(F_blocks),
         G=np.concatenate([np.tile(ls.h, p + 1) for ls in lifted_segments]),
-        metadata={
-            "order": p,
-            "gamma": gamma,
-            "m": m,
-            "horizon": T,
-            "refinement": k,
-            "references": [ls.reference.tolist() for ls in lifted_segments],
-            "direction_rule": "N + Mhat @ s_max",
-        },
     )

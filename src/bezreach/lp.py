@@ -71,9 +71,9 @@ class LPResult:
 
 def _pivot(T: np.ndarray, basis: np.ndarray, row: int, col: int) -> None:
     T[row] /= T[row, col]
-    rows = np.flatnonzero(np.abs(T[:, col]) > 1e-14)
-    rows = rows[rows != row]
-    T[rows] -= np.outer(T[rows, col], T[row])
+    f = np.where(np.abs(T[:, col]) > 1e-14, T[:, col], 0.0)
+    f[row] = 0.0
+    T -= np.outer(f, T[row])
     basis[row] = col
 
 

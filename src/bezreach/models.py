@@ -4,8 +4,10 @@ A planning model is a gamma-chain of integrators whose top derivative is
 control affine: q^(gamma) = f_d(x) + g_d(x) u.  Models are immutable
 evaluators with analytically supplied Lipschitz constants (infinity norm
 over the state constraint set); a sampling validator cross-checks them.
-`f_d` and `drift_field` map states of shape (..., n) row-wise; `g_d`
-takes a single state.  `rk4` is the one fixed-step integrator.
+Every model map acts row-wise on states of shape (..., n): `f_d` returns
+(..., m) and `g_d` matrices that broadcast against (..., m, m), so a
+constant actuation returns its one (m, m) matrix.  `rk4` is the one
+fixed-step integrator.
 """
 
 from __future__ import annotations
@@ -43,9 +45,11 @@ class PlanningModel:
         return np.concatenate([x[..., self.m :], self.f_d(x)], axis=-1)
 
     def state_derivative(self, x: np.ndarray, u: np.ndarray) -> np.ndarray:
-        dx = self.drift_field(x)
-        dx[self.n - self.m :] += self.g_d(x) @ np.asarray(u, dtype=float)
-        return dx
+        """Chain dynamics under inputs u of shape (..., m), row-wise."""
+        x = np.asarray(x, dtype=float)
+        u = np.asarray(u, dtype=float)
+        top = self.f_d(x) + (self.g_d(x) @ u[..., None])[..., 0]
+        return np.concatenate([x[..., self.m :], top], axis=-1)
 
 
 def rk4(
@@ -67,16 +71,18 @@ def rk4(
 
 
 def flat_input(model: PlanningModel, x_d: np.ndarray, q_gamma: np.ndarray) -> np.ndarray:
-    """Input reproducing the top derivative q_gamma at state x_d."""
-    x_d = np.asarray(x_d, dtype=float).reshape(-1)
-    q_gamma = np.asarray(q_gamma, dtype=float).reshape(-1)
-    g = np.atleast_2d(model.g_d(x_d))
-    cond = np.linalg.cond(g)
-    if not np.isfinite(cond) or cond > 1e12:
+    """Inputs reproducing the top derivatives q_gamma (..., m) at the
+    states x_d (..., n), row-wise."""
+    x_d = np.asarray(x_d, dtype=float)
+    q_gamma = np.asarray(q_gamma, dtype=float)
+    g = model.g_d(x_d)
+    cond = np.broadcast_to(np.linalg.cond(g), x_d.shape[:-1])
+    if not np.all(cond <= 1e12):  # also catches inf and NaN
+        i = np.unravel_index(np.argmin(cond <= 1e12), cond.shape)
         raise SingularActuationError(
-            f"g_d singular at state {x_d} (condition number {cond:.3e})"
+            f"g_d singular at state {x_d[i]} (condition number {cond[i]:.3e})"
         )
-    return np.linalg.solve(g, q_gamma - model.f_d(x_d))
+    return np.linalg.solve(g, (q_gamma - model.f_d(x_d))[..., None])[..., 0]
 
 
 def pendulum_model(mass: float, length: float, gravity: float) -> PlanningModel:
@@ -151,9 +157,9 @@ def pendulum_energy_controller(
         dth = theta - 2.0 * np.pi * wrap
         if abs(dth) < 0.25 and abs(omega) < 1.0:
             u = ml2 * (-gl * np.sin(theta) - 5.0 * dth - 3.5 * omega)
-            return float(np.clip(u, -u_catch, u_catch))
+            return float(min(max(u, -u_catch), u_catch))
         s = np.sign(omega) if abs(omega) > 1e-3 else 1.0
-        return float(np.clip(energy_gain * (e_top - energy) * s, -u_pump, u_pump))
+        return float(min(max(energy_gain * (e_top - energy) * s, -u_pump), u_pump))
 
     return controller
 
@@ -174,7 +180,8 @@ class TrackingCertificate:
         if self.e0 < 0 or self.lipschitz_e < 0:
             raise ValueError("error bound parameters must be nonnegative")
 
-    def error_bound(self, u_norm: float) -> float:
+    def error_bound(self, u_norm):
+        """e(u) for an input norm, or elementwise for an array of them."""
         return self.e0 + self.lipschitz_e * abs(u_norm)
 
     @staticmethod
@@ -256,16 +263,10 @@ def validate_lipschitz(
     rng = np.random.default_rng(seed)
     xs = rng.uniform(lo, hi, size=(samples, model.n))
     ys = rng.uniform(lo, hi, size=(samples, model.n))
-    for x, y in zip(xs, ys):
-        dx = np.max(np.abs(x - y))
-        if dx < 1e-12:
-            continue
-        df = np.max(np.abs(model.f_d(x) - model.f_d(y)))
-        if df > model.lipschitz_f * dx + slack:
-            return False
-        gi_x = np.linalg.inv(np.atleast_2d(model.g_d(x)))
-        gi_y = np.linalg.inv(np.atleast_2d(model.g_d(y)))
-        dg = np.max(np.abs(gi_x - gi_y))
-        if dg > model.lipschitz_ginv * dx + slack:
-            return False
-    return True
+    dx = np.max(np.abs(xs - ys), axis=-1)
+    df = np.max(np.abs(model.f_d(xs) - model.f_d(ys)), axis=-1)
+    gi_x = np.linalg.inv(model.g_d(xs))
+    gi_y = np.linalg.inv(model.g_d(ys))
+    dg = np.max(np.abs(gi_x - gi_y), axis=(-2, -1))
+    ok = (df <= model.lipschitz_f * dx + slack) & (dg <= model.lipschitz_ginv * dx + slack)
+    return bool(np.all(ok | (dx < 1e-12)))

@@ -109,9 +109,6 @@ class ReachGraph:
     def edge_cost(self) -> float:
         return 2.0 * self.spec.horizon
 
-    def neighbors(self, i: int) -> list[int]:
-        return sorted(j for (a, j) in self.edges if a == i)
-
     def to_json_dict(self) -> dict:
         return {
             "seed": self.seed,

@@ -1,10 +1,14 @@
 """Closed-loop verification of planned trajectories.
 
 The planning-model loop is integrated with fixed-step RK4 (`models.rk4`)
-under a feedback-linearizing feedforward plus PD tracker.  The tracking
-certificate is exercised by injecting a disturbance v with
-||v|| <= e(u_d) on top of the integrated state; the monitor then checks
-the state polytope and the weighted input bound at every step.
+under a feedback-linearizing feedforward plus PD tracker, so an RK4
+stage adds the PD feedback to g u_d and needs no solve.  The RK4
+iteration is the rollout's only loop: the feedforward, the disturbances,
+the applied inputs and the margins are each computed over all steps at
+once, one row per step.  The tracking certificate is exercised by
+injecting a disturbance v with ||v|| <= e(u_d) on top of the integrated
+state; the monitor then checks the state polytope and the weighted input
+bound at every step.
 """
 
 from __future__ import annotations
@@ -61,24 +65,24 @@ def tracker_input(
     u_d: np.ndarray,
     gains: np.ndarray,
 ) -> np.ndarray:
-    """Feedforward plus PD feedback through the actuation inverse."""
-    m = model.m
-    err = (x_ref - x).reshape(model.gamma, m)
-    fb = gains @ err
-    g = np.atleast_2d(model.g_d(x))
-    return u_d + np.linalg.solve(g, fb)
+    """Feedforward plus PD feedback through the actuation inverse, row-wise
+    over states x, x_ref (..., n) and feedforwards u_d (..., m)."""
+    err = x_ref - x
+    fb = gains @ err.reshape(err.shape[:-1] + (model.gamma, model.m))
+    return u_d + np.linalg.solve(model.g_d(x), fb[..., None])[..., 0]
 
 
 def _disturbance(policy, rng, bound, cs, x_ref):
-    n = x_ref.shape[0]
-    if policy == "zero" or bound == 0.0:
-        return np.zeros(n)
+    """Disturbances of infinity norm bound (steps,) at the references
+    x_ref (steps, n), one row per step."""
+    if policy == "zero":
+        return np.zeros_like(x_ref)
     if policy == "random":
-        return bound * rng.choice([-1.0, 1.0], size=n)
+        return bound[:, None] * rng.choice([-1.0, 1.0], size=x_ref.shape)
     # worst-case-sign: push toward the tightest state constraint row.
-    margins = cs.d - cs.C @ x_ref - bound * np.sum(np.abs(cs.C), axis=1)
-    row = cs.C[int(np.argmin(margins))]
-    return bound * np.where(row >= 0.0, 1.0, -1.0)
+    margins = cs.d - x_ref @ cs.C.T - bound[:, None] * np.sum(np.abs(cs.C), axis=1)
+    row = cs.C[np.argmin(margins, axis=1)]
+    return bound[:, None] * np.where(row >= 0.0, 1.0, -1.0)
 
 
 def rollout(
@@ -97,7 +101,7 @@ def rollout(
     """Roll out the tracked loop and evaluate the constraint margins."""
     if disturbance not in DISTURBANCE_POLICIES:
         raise ValueError(f"unknown disturbance policy {disturbance!r}")
-    seg_T = min(seg.duration for seg in trajectory.segments)
+    seg_T = min(trajectory.segments, key=lambda seg: seg.duration).duration
     if dt is None:
         dt = seg_T / 500.0
     if dt > seg_T / 200.0:
@@ -113,51 +117,39 @@ def rollout(
     half = 0.5 * (hi - lo)
     safe_lo, safe_hi = center - 10.0 * half, center + 10.0 * half
 
-    # Reference and feedforward on the half-step grid for the RK4 stages.
+    # Reference and feedforward on the half-step grid for the RK4 stages,
+    # one row per half step.
     t_half = np.linspace(0.0, total, 2 * steps + 1)
-    x_ref_half = trajectory.sample_states(t_half)
-    qg_half = trajectory.sample_q_gamma(t_half)
-    ud_half = np.column_stack(
-        [
-            flat_input(model, x_ref_half[:, i], qg_half[:, i])
-            for i in range(t_half.size)
-        ]
-    )
+    x_ref_half = trajectory.sample_states(t_half).T
+    ud_half = flat_input(model, x_ref_half, trajectory.sample_q_gamma(t_half).T)
 
-    def closed_loop(x, half_idx):
-        xr = x_ref_half[:, half_idx]
-        ud = ud_half[:, half_idx]
-        u = tracker_input(model, x, xr, ud, gains)
-        return model.state_derivative(x, u)
+    def closed_loop(x, j):
+        # g (u_d + g^-1 fb) = g u_d + fb: the tracker's inverse cancels.
+        dx = model.state_derivative(x, ud_half[j])
+        dx[-model.m :] += gains @ (x_ref_half[j] - x).reshape(model.gamma, model.m)
+        return dx
 
-    x = x_ref_half[:, 0].copy() if x0 is None else np.asarray(x0, dtype=float).copy()
-    x_sim = np.empty((model.n, steps + 1))
-    x_sim[:, 0] = x
+    x = x_ref_half[0] if x0 is None else np.asarray(x0, dtype=float)
+    x_sim = np.empty((steps + 1, model.n))
+    x_sim[0] = x
     for i, x in enumerate(rk4(closed_loop, x, total / steps, steps), start=1):
         if np.any(x < safe_lo) or np.any(x > safe_hi):
             raise DivergenceError(f"state {x} left the safety box at t={t_grid[i]}")
-        x_sim[:, i] = x
+        x_sim[i] = x
 
-    x_ref_grid = x_ref_half[:, ::2]
-    ud_grid = ud_half[:, ::2]
-    x_cl = np.empty_like(x_sim)
-    u_app = np.empty((model.m, steps + 1))
-    for i in range(steps + 1):
-        bound = disturbance_scale * cert.error_bound(float(np.max(np.abs(ud_grid[:, i]))))
-        v = _disturbance(disturbance, rng, bound, cs, x_ref_grid[:, i])
-        x_cl[:, i] = x_sim[:, i] + v
-        u_app[:, i] = tracker_input(
-            model, x_cl[:, i], x_ref_grid[:, i], ud_grid[:, i], gains
-        )
+    x_ref, u_d = x_ref_half[::2], ud_half[::2]
+    bound = disturbance_scale * cert.error_bound(np.max(np.abs(u_d), axis=1))
+    x_cl = x_sim + _disturbance(disturbance, rng, bound, cs, x_ref)
+    u = tracker_input(model, x_cl, x_ref, u_d, gains)
 
-    state_margin, input_margin, passed = _margins(cs, x_cl, u_app)
+    state_margin, input_margin, passed = _margins(cs, x_cl.T, u.T)
     return RolloutResult(
         t=t_grid,
-        x_ref=x_ref_grid,
-        x_sim=x_sim,
-        x_cl=x_cl,
-        u_d=ud_grid,
-        u=u_app,
+        x_ref=x_ref.T,
+        x_sim=x_sim.T,
+        x_cl=x_cl.T,
+        u_d=u_d.T,
+        u=u.T,
         state_margin=state_margin,
         input_margin=input_margin,
         violation=not passed,

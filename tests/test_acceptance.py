@@ -310,8 +310,10 @@ def test_swing_up_plans_pass_and_tighter_torque_needs_more_edges():
         graph = planner.build_graph(verts, spec, seed=11)
         path = planner.search(graph, i_start, i_goal)
         traj = planner.extract_trajectory(graph, path)
-        res = sim.rollout(model, traj, cs, cert, disturbance="zero")
-        assert sim.monitor(res, cs).passed
+        # The drift policy under disturbance, not only undisturbed.
+        for policy in sim.DISTURBANCE_POLICIES:
+            res = sim.rollout(model, traj, cs, cert, disturbance=policy, seed=1)
+            assert sim.monitor(res, cs).passed, (u_max, policy)
         path_edges[u_max] = len(path) - 1
     assert path_edges[0.5] > path_edges[5.0]
     # Path cost is edge count times 2T, so cost is nonincreasing in u_max.

@@ -53,3 +53,17 @@ def test_single_rk4_implementation():
                     f"{path.name}:{node.lineno}")
     assert helper, "models.rk4 no longer computes an RK4 stage k4"
     assert not found, f"RK4 stages outside models.rk4: {found}"
+
+
+def test_rollout_has_one_loop():
+    # The RK4 iteration with its divergence check is the rollout's only
+    # Python loop; feedforward, disturbances and inputs are array code.
+    tree = ast.parse((SRC / "sim.py").read_text())
+    (fn,) = [node for node in ast.walk(tree)
+             if isinstance(node, ast.FunctionDef) and node.name == "rollout"]
+    nodes = list(ast.walk(fn))
+    loops = [node.lineno for node in nodes if isinstance(node, (ast.For, ast.While))]
+    comps = [node.lineno for node in nodes if isinstance(
+        node, (ast.ListComp, ast.SetComp, ast.DictComp, ast.GeneratorExp))]
+    assert len(loops) == 1, f"sim.rollout loops at lines {loops}"
+    assert not comps, f"sim.rollout comprehensions at lines {comps}"

@@ -4,8 +4,10 @@ import numpy as np
 import pytest
 
 from bezreach.bezier import BezierCurve, derivative_map, state_matrix
+from bezreach.constraints import default_q_gamma_bound
 from bezreach.models import (
     ConstraintSet,
+    PlanningModel,
     SingularActuationError,
     TrackingCertificate,
     flat_input,
@@ -22,6 +24,52 @@ def box_constraints(lo, hi, u_max):
     C = np.vstack([np.eye(n), -np.eye(n)])
     d = np.concatenate([hi, -np.asarray(lo)])
     return ConstraintSet(C, d, u_max=u_max)
+
+
+# The slope of 1 / (1 + cos(x0) / 2) in x0 peaks at cos(x0) = 1 - sqrt(3).
+COS_PEAK = 1.0 - np.sqrt(3.0)
+GINV_SLOPE = 0.5 * np.sqrt(1.0 - COS_PEAK**2) / (1.0 + 0.5 * COS_PEAK) ** 2
+
+
+def varying_gain_model(lipschitz_ginv=GINV_SLOPE):
+    """Pendulum drift with the state-dependent actuation 1 + cos(x0) / 2."""
+    pend = pendulum_model(0.1, 1.0, 9.81)
+    return PlanningModel(
+        gamma=2, m=1, f_d=pend.f_d,
+        g_d=lambda x: (1.0 + 0.5 * np.cos(x[..., :1]))[..., None],
+        lipschitz_f=pend.lipschitz_f, lipschitz_ginv=lipschitz_ginv,
+        name="varying-gain",
+    )
+
+
+def coupled_gain_model():
+    """Double integrator in R^2 with the upper-triangular, state-dependent
+    actuation [[1, sin(x0) / 2], [0, 1 + cos(x1) / 5]]."""
+    chain = integrator_chain(2, 2)
+
+    def g_d(x):
+        one, zero = np.ones_like(x[..., 0]), np.zeros_like(x[..., 0])
+        rows = [[one, 0.5 * np.sin(x[..., 0])], [zero, 1.0 + 0.2 * np.cos(x[..., 1])]]
+        return np.stack([np.stack(row, axis=-1) for row in rows], axis=-2)
+
+    return PlanningModel(gamma=2, m=2, f_d=chain.f_d, g_d=g_d, lipschitz_f=0.0,
+                         lipschitz_ginv=1.0, name="coupled-gain")
+
+
+def row_models():
+    return [pendulum_model(0.1, 1.0, 9.81), integrator_chain(2, 2), varying_gain_model(),
+            coupled_gain_model()]
+
+
+def loop_flat_input(model, x_d, q_gamma):
+    # The per-state flat input that the row-wise one replaced.
+    x_d = np.asarray(x_d, dtype=float).reshape(-1)
+    q_gamma = np.asarray(q_gamma, dtype=float).reshape(-1)
+    g = np.atleast_2d(model.g_d(x_d))
+    cond = np.linalg.cond(g)
+    if not np.isfinite(cond) or cond > 1e12:
+        raise SingularActuationError(f"g_d singular at state {x_d}")
+    return np.linalg.solve(g, q_gamma - model.f_d(x_d))
 
 
 # -- flat input ------------------------------------------------------------
@@ -53,6 +101,46 @@ def test_flat_input_singular_actuation():
     )
     with pytest.raises(SingularActuationError):
         flat_input(bad, np.zeros(2), np.zeros(1))
+
+
+@pytest.mark.parametrize("model", row_models(), ids=lambda m: m.name)
+def test_flat_input_rows_equal_per_state_solve(model):
+    rng = np.random.default_rng(3)
+    xs = rng.uniform(-4.0, 4.0, size=(3, 7, model.n))
+    qs = rng.normal(scale=5.0, size=(3, 7, model.m))
+    got = flat_input(model, xs, qs)
+    assert got.shape == (3, 7, model.m)
+    ref = np.array([[loop_flat_input(model, x, q) for x, q in zip(xr, qr)]
+                    for xr, qr in zip(xs, qs)])
+    assert np.array_equal(got, ref)
+    assert np.array_equal(flat_input(model, xs[1, 2], qs[1, 2]), ref[1, 2])
+
+
+@pytest.mark.parametrize("model", row_models(), ids=lambda m: m.name)
+def test_state_derivative_rows_equal_per_state_code(model):
+    rng = np.random.default_rng(4)
+    xs = rng.uniform(-4.0, 4.0, size=(3, 7, model.n))
+    us = rng.normal(size=(3, 7, model.m))
+    ref = np.empty_like(xs)
+    for idx in np.ndindex(xs.shape[:-1]):
+        ref[idx] = model.drift_field(xs[idx])
+        ref[idx][model.n - model.m :] += model.g_d(xs[idx]) @ us[idx]
+    assert np.array_equal(model.state_derivative(xs, us), ref)
+    assert np.array_equal(model.state_derivative(xs[2, 1], us[2, 1]), ref[2, 1])
+
+
+def test_flat_input_singular_on_one_state_of_batch():
+    # g = x0 vanishes only at the fourth state of the batch.
+    model = integrator_chain(2, 1)
+    bad = type(model)(
+        gamma=2, m=1, f_d=model.f_d, g_d=lambda x: x[..., :1, None],
+        lipschitz_f=0.0, lipschitz_ginv=0.0,
+    )
+    xs = np.column_stack([np.linspace(1.0, 2.0, 6), np.zeros(6)])
+    assert np.all(np.isfinite(flat_input(bad, xs, np.ones((6, 1)))))
+    xs[3, 0] = 0.0
+    with pytest.raises(SingularActuationError, match=r"state \[0\. 0\.\]"):
+        flat_input(bad, xs, np.ones((6, 1)))
 
 
 # -- pendulum model --------------------------------------------------------
@@ -96,6 +184,64 @@ def test_validate_lipschitz_detects_understated_constant():
     )
     cs = box_constraints([-1.0, -7.5], [2 * np.pi + 1, 7.5], u_max=5.0)
     assert not validate_lipschitz(cheat, cs, samples=2000)
+
+
+def test_validate_lipschitz_rejects_understated_ginv_for_state_dependent_g():
+    cs = box_constraints([-1.0, -7.5], [2 * np.pi + 1, 7.5], u_max=5.0)
+    assert validate_lipschitz(varying_gain_model(), cs, samples=2000)
+    assert not validate_lipschitz(varying_gain_model(0.5 * GINV_SLOPE), cs,
+                                  samples=2000)
+
+
+def loop_validate_lipschitz(model, cs, samples, seed=0, slack=1e-9):
+    # The per-sample check that the row-wise validator replaced.
+    lo, hi = cs.bounding_box()
+    rng = np.random.default_rng(seed)
+    xs = rng.uniform(lo, hi, size=(samples, model.n))
+    ys = rng.uniform(lo, hi, size=(samples, model.n))
+    for x, y in zip(xs, ys):
+        dx = np.max(np.abs(x - y))
+        if dx < 1e-12:
+            continue
+        df = np.max(np.abs(model.f_d(x) - model.f_d(y)))
+        if df > model.lipschitz_f * dx + slack:
+            return False
+        gi_x = np.linalg.inv(np.atleast_2d(model.g_d(x)))
+        gi_y = np.linalg.inv(np.atleast_2d(model.g_d(y)))
+        dg = np.max(np.abs(gi_x - gi_y))
+        if dg > model.lipschitz_ginv * dx + slack:
+            return False
+    return True
+
+
+@pytest.mark.parametrize("scale", [1.0, 0.9, 0.5])
+def test_validate_lipschitz_equals_per_sample_loop(scale):
+    # Constants scaled below the true slope sit near the sampled maximum,
+    # so the two validators must agree sample for sample.
+    pend = pendulum_model(0.1, 1.0, 9.81)
+    cheats = [
+        type(pend)(gamma=2, m=1, f_d=pend.f_d, g_d=pend.g_d,
+                   lipschitz_f=scale * pend.lipschitz_f, lipschitz_ginv=0.0),
+        varying_gain_model(scale * GINV_SLOPE),
+        integrator_chain(2, 2),
+    ]
+    for model in cheats:
+        cs = box_constraints([-3.0] * model.n, [3.0] * model.n, u_max=1.0)
+        for samples in (1, 40, 500):
+            assert validate_lipschitz(model, cs, samples) == \
+                loop_validate_lipschitz(model, cs, samples)
+
+
+@pytest.mark.parametrize("model", row_models(), ids=lambda m: m.name)
+def test_default_q_gamma_bound_equals_per_sample_loop(model):
+    cs = box_constraints([-3.0] * model.n, [3.0] * model.n, u_max=2.0)
+    lo, hi = cs.bounding_box()
+    xs = np.random.default_rng(0).uniform(lo, hi, size=(512, model.n))
+    f_max = float(np.max(np.abs(model.f_d(xs))))
+    g_max = max(
+        float(np.max(np.sum(np.abs(np.atleast_2d(model.g_d(x))), axis=1))) for x in xs
+    )
+    assert default_q_gamma_bound(model, cs) == f_max + g_max * cs.effective_u_max()
 
 
 # -- integrator chain ------------------------------------------------------

@@ -3,13 +3,15 @@
 import numpy as np
 import pytest
 
-from bezreach import lp
+from bezreach import lp, models, sim
 from bezreach.bezier import BezierCurve, boundary_matrix, solve_boundary
 from bezreach.models import (
     ConstraintSet,
+    PlanningModel,
     TrackingCertificate,
     integrator_chain,
     pendulum_model,
+    rk4,
 )
 from bezreach.planner import PlannedTrajectory
 from bezreach.sim import DivergenceError, MarginReport, monitor, rollout
@@ -210,3 +212,142 @@ def test_violation_flag_agrees_with_monitor(policy, scale):
         assert not res.violation
     elif scale == 10.0:
         assert res.violation
+
+
+# -- row-wise helpers and rollout against the per-step code they replaced ------
+
+
+def varying_gain_model():
+    """Pendulum drift with the state-dependent actuation 1 + cos(x0) / 2."""
+    pend = pendulum_model(0.1, 1.0, 9.81)
+    return PlanningModel(
+        gamma=2, m=1, f_d=pend.f_d,
+        g_d=lambda x: (1.0 + 0.5 * np.cos(x[..., :1]))[..., None],
+        lipschitz_f=pend.lipschitz_f, lipschitz_ginv=0.85, name="varying-gain",
+    )
+
+
+def loop_tracker_input(model, x, x_ref, u_d, gains):
+    err = (x_ref - x).reshape(model.gamma, model.m)
+    fb = gains @ err
+    g = np.atleast_2d(model.g_d(x))
+    return u_d + np.linalg.solve(g, fb)
+
+
+def loop_disturbance(policy, rng, bound, cs, x_ref):
+    n = x_ref.shape[0]
+    if policy == "zero" or bound == 0.0:
+        return np.zeros(n)
+    if policy == "random":
+        return bound * rng.choice([-1.0, 1.0], size=n)
+    margins = cs.d - cs.C @ x_ref - bound * np.sum(np.abs(cs.C), axis=1)
+    row = cs.C[int(np.argmin(margins))]
+    return bound * np.where(row >= 0.0, 1.0, -1.0)
+
+
+def loop_rollout(model, trajectory, cs, cert, disturbance, seed, scale):
+    """The per-step rollout: a flat input per half step, a solve per RK4
+    stage, and a disturbance and tracker input per step."""
+    total = trajectory.total_duration
+    steps = int(round(total / (min(s.duration for s in trajectory.segments) / 500.0)))
+    gains = sim._tracker_gains(model.gamma, 0.5, 0.5)
+    rng = np.random.default_rng(seed)
+    t_half = np.linspace(0.0, total, 2 * steps + 1)
+    x_ref_half = trajectory.sample_states(t_half)
+    qg_half = trajectory.sample_q_gamma(t_half)
+    ud_half = np.column_stack([models.flat_input(model, x_ref_half[:, i], qg_half[:, i])
+                               for i in range(t_half.size)])
+
+    def closed_loop(x, j):
+        u = loop_tracker_input(model, x, x_ref_half[:, j], ud_half[:, j], gains)
+        return model.state_derivative(x, u)
+
+    x_sim = np.empty((model.n, steps + 1))
+    x_sim[:, 0] = x_ref_half[:, 0]
+    for i, x in enumerate(rk4(closed_loop, x_ref_half[:, 0], total / steps, steps),
+                          start=1):
+        x_sim[:, i] = x
+    x_ref, u_d = x_ref_half[:, ::2], ud_half[:, ::2]
+    x_cl = np.empty_like(x_sim)
+    u = np.empty((model.m, steps + 1))
+    for i in range(steps + 1):
+        bound = scale * cert.error_bound(float(np.max(np.abs(u_d[:, i]))))
+        x_cl[:, i] = x_sim[:, i] + loop_disturbance(disturbance, rng, bound, cs,
+                                                    x_ref[:, i])
+        u[:, i] = loop_tracker_input(model, x_cl[:, i], x_ref[:, i], u_d[:, i], gains)
+    return x_ref, x_sim, x_cl, u_d, u, sim._margins(cs, x_cl, u)[2]
+
+
+def tube_constraints(traj, diagonal, u_max, pad=0.05):
+    """Box and diagonal rows around the reference, each padded by pad."""
+    x = traj.sample_states(np.linspace(0.0, traj.total_duration, 401))
+    n = x.shape[0]
+    C = np.vstack([np.eye(n), -np.eye(n), [diagonal]])
+    return ConstraintSet(C, np.max(C @ x, axis=1) + pad, u_max=u_max)
+
+
+def row_cases():
+    """(model, constraints, certificate, trajectory) for n = 2 and n = 4,
+    constant and state-dependent g_d.  Scale 1 disturbances stay inside
+    the constraints; scale 8 ones leave them."""
+    hop = hop_trajectory(np.array([np.pi, 0.0]), np.array([np.pi + 0.5, 0.3]), T=0.5)
+    chain_hop = hop_trajectory(np.array([0.1, -0.2, 0.0, 0.1]),
+                               np.array([0.4, 0.1, -0.1, 0.0]), T=0.5)
+    cert = TrackingCertificate(0.01, 0.001, 1.0, 1.0, 1.0)
+    return [
+        (pendulum_model(0.1, 1.0, 9.81), tube_constraints(hop, [0.6, 0.8], 2.0),
+         cert, hop),
+        (varying_gain_model(), tube_constraints(hop, [0.6, 0.8], 30.0), cert, hop),
+        (integrator_chain(2, 2),
+         tube_constraints(chain_hop, [0.5, -0.5, 0.5, 0.5], 12.0), cert, chain_hop),
+    ]
+
+
+ROW_IDS = ["pendulum", "varying-gain", "integrator2x2"]
+
+
+@pytest.mark.parametrize("case", range(3), ids=ROW_IDS)
+def test_tracker_input_rows_equal_per_state_solve(case):
+    model, _, _, _ = row_cases()[case]
+    rng = np.random.default_rng(case)
+    x, x_ref = rng.uniform(-2.0, 2.0, size=(2, 3, 11, model.n))
+    u_d = rng.normal(size=(3, 11, model.m))
+    gains = sim._tracker_gains(model.gamma, 0.5, 0.7)
+    got = sim.tracker_input(model, x, x_ref, u_d, gains)
+    ref = np.array([[loop_tracker_input(model, *args, gains) for args in zip(*rows)]
+                    for rows in zip(x, x_ref, u_d)])
+    assert np.array_equal(got, ref)
+
+
+@pytest.mark.parametrize("policy", sim.DISTURBANCE_POLICIES)
+@pytest.mark.parametrize("case", range(3), ids=ROW_IDS)
+def test_disturbance_rows_equal_per_step_draws(case, policy):
+    # Positive bounds, so the per-step code draws at every step and both
+    # consume the generator in the same order (n = 2 and n = 4).
+    model, cs, _, _ = row_cases()[case]
+    rng = np.random.default_rng(case)
+    lo, hi = cs.bounding_box()
+    x_ref = rng.uniform(lo - 0.1, hi + 0.1, size=(60, model.n))
+    bound = rng.uniform(0.01, 0.5, size=60)
+    got = sim._disturbance(policy, np.random.default_rng(9), bound, cs, x_ref)
+    draws = np.random.default_rng(9)
+    ref = np.array([loop_disturbance(policy, draws, b, cs, x)
+                    for b, x in zip(bound, x_ref)])
+    assert np.array_equal(got, ref)
+
+
+@pytest.mark.parametrize("policy", sim.DISTURBANCE_POLICIES)
+@pytest.mark.parametrize("case", range(3), ids=ROW_IDS)
+def test_rollout_matches_per_step_loop(case, policy):
+    model, cs, cert, traj = row_cases()[case]
+    for scale in (1.0, 8.0):
+        res = rollout(model, traj, cs, cert, disturbance=policy, seed=5,
+                      disturbance_scale=scale)
+        x_ref, x_sim, x_cl, u_d, u, passed = loop_rollout(
+            model, traj, cs, cert, policy, 5, scale)
+        assert np.array_equal(res.x_ref, x_ref)
+        assert np.array_equal(res.u_d, u_d)
+        for got, ref in ((res.x_sim, x_sim), (res.x_cl, x_cl), (res.u, u)):
+            assert got.shape == ref.shape
+            assert np.max(np.abs(got - ref)) <= 1e-12
+        assert res.violation == (not passed)
