@@ -51,7 +51,6 @@ class LiftedLinearConstraints:
 
     L: np.ndarray
     h: np.ndarray
-    reference: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -309,9 +308,7 @@ def lift_rows(
     L_blocks.append(box_L)
     h_blocks.append(np.column_stack([radius + center, radius - center]).ravel())
 
-    return LiftedLinearConstraints(
-        L=np.vstack(L_blocks), h=np.concatenate(h_blocks), reference=x_ref
-    )
+    return LiftedLinearConstraints(L=np.vstack(L_blocks), h=np.concatenate(h_blocks))
 
 
 def refined_polytope(

@@ -14,6 +14,7 @@ more than speed.
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass
 
 import numpy as np
@@ -211,73 +212,103 @@ def maximize(poly: Polytope, c) -> LPResult:
     return LPResult("optimal", x=x, value=float(c @ x))
 
 
-def _clip(verts: np.ndarray, a: np.ndarray, rhs: float) -> np.ndarray:
-    """Clip a convex polygon (rows = vertices, ccw) by {x | a.x <= rhs}."""
-    s = verts @ a - rhs
-    out = []
-    nv = verts.shape[0]
-    for i in range(nv):
-        j = (i + 1) % nv
-        if s[i] <= 0.0:
-            out.append(verts[i])
-        if (s[i] < 0.0) != (s[j] < 0.0) and abs(s[i] - s[j]) > 1e-300:
-            d = verts[j] - verts[i]
-            x = verts[i] + (s[i] / (s[i] - s[j])) * d
-            # One Newton step along the edge puts x on the cut line to
-            # rounding of |x|, not of the edge length (the first edges
-            # span the whole 2e6-wide starting square).
-            out.append(x - ((a @ x - rhs) / (s[j] - s[i])) * d)
-    return np.array(out) if out else np.empty((0, 2))
-
-
 EMPTY_2D = Polytope(
     np.array([[1.0, 0.0], [-1.0, 0.0]]), np.array([-1.0, -1.0]), np.empty((0, 2))
 )
 
 
-def reduce_2d(poly: Polytope, bound: float = 1e6, tol: float = 1e-9) -> Polytope:
+def _polygon(A: np.ndarray, b: np.ndarray):
+    """Edge lines and ccw vertices of {A x <= b}, or None if it is empty.
+
+    The rows have unit normals in ccw order, each turning from the last
+    by less than pi, so the set is bounded.  One pass of the deque
+    half-plane intersection (Preparata & Shamos 1985, 7.2): each new
+    line drops the lines whose last vertex it cuts off, at the back and
+    at the front; the lines left bound the polygon in ccw order.
+    """
+    ax, ay, bb = A[:, 0].tolist(), A[:, 1].tolist(), b.tolist()
+
+    def cross(i, j):
+        return ax[i] * ay[j] - ay[i] * ax[j]
+
+    def meet(i, j):
+        # Placed on line i, so a nearly parallel line j moves the vertex
+        # along line i, not off it.
+        t = (bb[j] - bb[i] * (ax[i] * ax[j] + ay[i] * ay[j])) / cross(i, j)
+        return bb[i] * ax[i] - t * ay[i], bb[i] * ay[i] + t * ax[i]
+
+    def cuts(k, i, j):
+        # Line k cuts off the vertex where lines i and j meet.
+        x, y = meet(i, j)
+        return ax[k] * x + ay[k] * y > bb[k]
+
+    dq: deque[int] = deque()
+    for k in range(len(bb)):
+        while len(dq) >= 2 and cuts(k, dq[-2], dq[-1]):
+            dq.pop()
+        while len(dq) >= 2 and cuts(k, dq[0], dq[1]):
+            dq.popleft()
+        if dq and cross(dq[-1], k) <= 0.0:
+            if cross(dq[-1], k) < -1e-12 or ax[dq[-1]] * ax[k] + ay[dq[-1]] * ay[k] < 0.0:
+                return None  # the kept lines turn by pi or more: empty
+            # The same normal to rounding, in rows that `_reduce_rows` did
+            # not merge: keep the tighter row.
+            if bb[k] >= bb[dq[-1]]:
+                continue
+            dq.pop()
+        dq.append(k)
+    while len(dq) >= 3 and cuts(dq[0], dq[-2], dq[-1]):
+        dq.pop()
+    while len(dq) >= 3 and cuts(dq[-1], dq[0], dq[1]):
+        dq.popleft()
+    if len(dq) < 3 or cross(dq[-1], dq[0]) <= 0.0:
+        return None
+    lines = list(dq)
+    return lines, np.array([meet(i, j) for i, j in zip(lines, lines[1:] + lines[:1])])
+
+
+def reduce_2d(poly: Polytope, tol: float = 1e-9) -> Polytope:
     """Equivalent polytope with redundant rows removed (2-D only).
 
-    Clips a large bounding square by the most-violated row until every
-    row is satisfied on the polygon, then rebuilds one row per polygon
-    edge; the result carries the polygon as `vertices`.  Returns the
-    input unchanged when the set is unbounded, and the input's rows with
-    the polygon attached when it degenerates below a proper polygon;
+    Merges parallel rows, sorts the unit normals by angle and intersects
+    the half-planes in one pass; the result keeps the rows of the
+    polygon's edges, padded by `tol`, and carries the polygon as
+    `vertices`.  Returns the input unchanged when the normals leave an
+    angular gap of pi or more (the set is unbounded), and the input's
+    rows with the polygon attached when it degenerates below a proper
+    polygon (fewer than three edges, or empty only by up to `tol`);
     returns an infeasible marker when the set is empty.
     """
     if poly.dim != 2:
         raise ValueError("reduce_2d only handles 2-D polytopes")
-    verts = np.array(
-        [[-bound, -bound], [bound, -bound], [bound, bound], [-bound, bound]]
-    )
-    A, b = poly.A, poly.b
-    for _ in range(A.shape[0] + 8):
-        viol = np.max(A @ verts.T - b[:, None], axis=1)
-        worst = int(np.argmax(viol))
-        if viol[worst] <= tol:
-            break
-        verts = _clip(verts, A[worst], b[worst])
-        if verts.shape[0] == 0:
-            return EMPTY_2D
-    else:
+    rows = _reduce_rows(poly.A, poly.b)
+    if rows is None:
+        return EMPTY_2D
+    A, b, _ = rows
+    if A.shape[0] == 0:
         return poly
-    if np.max(np.abs(verts)) >= 0.99 * bound:
-        return poly  # unbounded (or near enough); keep the original rows
-    rows = []
-    rhs = []
-    nv = verts.shape[0]
-    for i in range(nv):
-        v1, v2 = verts[i], verts[(i + 1) % nv]
-        d = v2 - v1
-        nrm = np.hypot(d[0], d[1])
-        if nrm < 1e-12:
-            continue
-        normal = np.array([d[1], -d[0]]) / nrm  # outward for ccw order
-        rows.append(normal)
-        rhs.append(normal @ v1 + tol)
-    if len(rows) < 3:
+    angle = np.arctan2(A[:, 1], A[:, 0])
+    # Start after the widest gap between neighbouring normals.
+    order = np.argsort(angle)
+    gaps = np.diff(angle[order], append=angle[order[0]] + 2 * np.pi)
+    widest = int(np.argmax(gaps))
+    order = np.roll(order, -(widest + 1))
+    A, b = A[order], b[order]
+    if gaps[widest] > np.pi - 1e-12:
+        # Unbounded, unless the rows on both sides of a gap of pi are
+        # opposite and leave no room between them.
+        if gaps[widest] < np.pi + 1e-12 and b[0] + b[-1] < -tol:
+            return EMPTY_2D
+        return poly
+    exact = _polygon(A, b)
+    if exact is None:
+        loose = _polygon(A, b + tol)
+        return EMPTY_2D if loose is None else Polytope(poly.A, poly.b, loose[1])
+    lines, verts = exact
+    edges = np.hypot(*(verts - np.roll(verts, 1, axis=0)).T)
+    if np.count_nonzero(edges >= 1e-12) < 3:
         return Polytope(poly.A, poly.b, verts)
-    return Polytope(np.array(rows), np.array(rhs), verts)
+    return Polytope(A[lines], b[lines] + tol, verts)
 
 
 def bounding_box(poly: Polytope):

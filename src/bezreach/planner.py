@@ -127,6 +127,16 @@ def _boxes_overlap(box_a, box_b) -> bool:
     return bool(np.all(box_a[0] <= box_b[1] + 1e-9) and np.all(box_b[0] <= box_a[1] + 1e-9))
 
 
+def _members(polys: list, points: np.ndarray, tol: float) -> np.ndarray:
+    """(len(polys), K) flags: which of the points (K, n) each polytope
+    contains, from one product over the rows of all polytopes."""
+    A = np.vstack([P.A for P in polys])
+    b = np.concatenate([P.b for P in polys])
+    ok = A @ points.T <= b[:, None] + tol
+    ends = np.cumsum([0] + [P.A.shape[0] for P in polys])
+    return np.array([np.all(ok[s:e], axis=0) for s, e in zip(ends, ends[1:])])
+
+
 def build_graph(vertices: np.ndarray, spec: ReachSpec, seed: int = 0) -> ReachGraph:
     """All-pairs edge construction by the two-horizon witness test
     F(v_i) n B(v_j) != {}.  Cheap vectorized witness candidates and
@@ -136,33 +146,30 @@ def build_graph(vertices: np.ndarray, spec: ReachSpec, seed: int = 0) -> ReachGr
     V = vertices.shape[0]
     if V == 0:
         raise EmptyGraphError("no vertices")
+    # Every vertex's certificates first: one reference flow per direction.
+    spec.certificates(vertices, "forward")
+    spec.certificates(vertices, "backward")
     fwd = [spec.forward_polytope(v) for v in vertices]
     bwd = [spec.backward_polytope(v) for v in vertices]
-    sat_f = np.vstack(
-        [np.all(P.A @ vertices.T <= P.b[:, None] + 1e-9, axis=0) for P in fwd]
-    )
-    sat_b = np.vstack(
-        [np.all(P.A @ vertices.T <= P.b[:, None] + 1e-9, axis=0) for P in bwd]
-    )
+    sat_f = _members(fwd, vertices, 1e-9)
+    sat_b = _members(bwd, vertices, 1e-9)
     edges: dict = {}
-    pending: list[tuple[int, int]] = []
     has_common = (sat_f.astype(np.float32) @ sat_b.astype(np.float32).T) > 0.5
     for i in range(V):
-        for j in range(V):
-            if has_common[i, j]:
-                hit = int(np.flatnonzero(sat_f[i] & sat_b[j])[0])
-                edges[(i, j)] = vertices[hit].copy()
-            else:
-                pending.append((i, j))
+        js = np.flatnonzero(has_common[i])
+        hits = np.argmax(sat_f[i] & sat_b[js], axis=1)
+        for j, hit in zip(js.tolist(), hits):
+            edges[(i, j)] = vertices[hit].copy()
 
     # Midpoint candidates for pairs without a vertex witness.
-    still: list[tuple[int, int]] = []
-    for i, j in pending:
-        w = 0.5 * (vertices[i] + vertices[j])
-        if fwd[i].contains(w) and bwd[j].contains(w):
-            edges[(i, j)] = w
-        else:
-            still.append((i, j))
+    mid = 0.5 * (vertices[:, None, :] + vertices[None, :, :])
+    in_f = np.array([np.all(P.A @ mid[i].T <= P.b[:, None] + lp.TOL, axis=0)
+                     for i, P in enumerate(fwd)])
+    in_b = np.array([np.all(P.A @ mid[:, j].T <= P.b[:, None] + lp.TOL, axis=0)
+                     for j, P in enumerate(bwd)]).T
+    for i, j in np.argwhere(~has_common & in_f & in_b).tolist():
+        edges[(i, j)] = mid[i, j].copy()
+    still = np.argwhere(~has_common & ~(in_f & in_b)).tolist()
 
     if still:
         boxes_f = [lp.bounding_box(P) for P in fwd]

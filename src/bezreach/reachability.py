@@ -72,21 +72,24 @@ class ReachSpec:
 
     # -- certificate construction -------------------------------------
 
-    def references(self, anchor: np.ndarray, direction: str) -> list[np.ndarray]:
-        """Per-segment reference points for a query anchored at `anchor`:
-        under the drift policy, the 64-step RK4 drift flow from the anchor
-        to each segment midpoint (backward in time for "backward")."""
-        k = self.refinement
+    def references(self, anchors: np.ndarray, direction: str) -> np.ndarray:
+        """Per-segment reference points, (..., k, n), for queries anchored
+        at `anchors` (..., n): under the drift policy, the 64-step RK4
+        drift flow from each anchor to each segment midpoint (backward in
+        time for "backward").  One flow for the whole batch; every row
+        gets its own step, so each row equals its one-anchor flow."""
+        anchors = np.asarray(anchors, dtype=float)
+        shape = anchors.shape[:-1] + (self.refinement, self.n)
         if self.reference_policy == "fixed":
-            return [self.x_ref.copy() for _ in range(k)]
-        T = self.horizon
+            return np.broadcast_to(self.x_ref, shape).copy()
+        k, T = self.refinement, self.horizon
         t_mid = (np.arange(k) + 0.5) * T / k
         t = t_mid if direction == "forward" else -(T - t_mid)
-        x0 = np.tile(np.asarray(anchor, dtype=float).reshape(-1), (k, 1))
+        x0 = np.broadcast_to(anchors[..., None, :], shape)
         *_, x = rk4(lambda x, j: self.model.drift_field(x), x0, (t / 64)[:, None], 64)
-        return list(x)
+        return x
 
-    def certificate_for(self, refs: list[np.ndarray]) -> CertificatePolytope:
+    def certificate_for(self, refs: np.ndarray) -> CertificatePolytope:
         u_eff = self.cs.effective_u_max()
         state_rows = state_bound_rows(self.cs, self.cert)
         lifted = [
@@ -102,13 +105,27 @@ class ReachSpec:
             lifted, self.order, self.horizon, self.model.gamma, self.model.m
         )
 
+    def certificates(
+        self, anchors: np.ndarray, direction: str = "forward"
+    ) -> list[CertificatePolytope]:
+        """Certificates for queries anchored at the rows of `anchors`:
+        one `references` flow for the anchors not yet cached, then one
+        `certificate_for` per new anchor."""
+        anchors = np.atleast_2d(np.asarray(anchors, dtype=float))
+        drift = self.reference_policy == "drift"
+        keys = [
+            (self.reference_policy, direction if drift else "", a.tobytes() if drift else b"")
+            for a in anchors
+        ]
+        new = {key: a for key, a in zip(keys, anchors) if key not in self._cache}
+        if new:
+            refs = self.references(np.array(list(new.values())), direction)
+            for key, r in zip(new, refs):
+                self._cache[key] = self.certificate_for(r)
+        return [self._cache[key] for key in keys]
+
     def certificate(self, anchor: np.ndarray, direction: str = "forward") -> CertificatePolytope:
-        key = (self.reference_policy, direction if self.reference_policy == "drift" else "",
-               np.asarray(anchor, dtype=float).tobytes()
-               if self.reference_policy == "drift" else b"")
-        if key not in self._cache:
-            self._cache[key] = self.certificate_for(self.references(np.asarray(anchor, float), direction))
-        return self._cache[key]
+        return self.certificates(np.asarray(anchor, dtype=float)[None], direction)[0]
 
     # -- polytope queries ----------------------------------------------
 

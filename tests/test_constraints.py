@@ -341,9 +341,7 @@ def test_sigma_box_positive_and_finite():
 
 
 def test_empty_lift_accepts_everything():
-    lifted = LiftedLinearConstraints(
-        L=np.zeros((0, 3)), h=np.zeros(0), reference=np.zeros(2)
-    )
+    lifted = LiftedLinearConstraints(L=np.zeros((0, 3)), h=np.zeros(0))
     cert = refined_polytope([lifted], 3, 1.0, 2, 1)
     assert cert.F.shape[0] == 0
     assert cert.accepts(np.random.default_rng(0).normal(size=(1, 4)))

@@ -386,3 +386,170 @@ def test_bounding_box_matches_linprog_box(linprog, max_margin):
                     assert abs(got - sign * ref.fun) <= 1e-7 * max(1.0, abs(ref.fun))
         checked += 1
     assert checked >= 100
+
+
+# -- reduce_2d against SciPy's half-space intersection ---------------------
+
+
+def scipy_polygon(A, b, linprog):
+    """Radius of the largest disc in {A x <= b} (negative when the set is
+    empty, by a distance), and the set's ccw vertices from scipy.spatial
+    when the radius is at least 1e-6 (else None)."""
+    spatial = pytest.importorskip("scipy.spatial")
+    norms = np.linalg.norm(A, axis=1)
+    res = linprog(np.r_[0.0, 0.0, -1.0], A_ub=np.column_stack([A, norms]), b_ub=b,
+                  bounds=[(None, None)] * 2 + [(None, 1.0)], method="highs")
+    assert res.status == 0, res.message
+    if res.x[2] < 1e-6:
+        return res.x[2], None
+    pts = spatial.HalfspaceIntersection(np.column_stack([A, -b]), res.x[:2]).intersections
+    return res.x[2], pts[spatial.ConvexHull(pts).vertices]
+
+
+def hausdorff(P, Q):
+    """Hausdorff distance between two convex polygons (ccw vertex rows)."""
+
+    def to(pts, V):
+        E = np.roll(V, -1, axis=0) - V
+        rel = pts[:, None, :] - V[None]
+        t = np.einsum("pek,ek->pe", rel, E) / np.maximum(np.einsum("ek,ek->e", E, E), 1e-300)
+        gap = rel - np.clip(t, 0.0, 1.0)[..., None] * E
+        inside = np.all(E[:, 0] * rel[..., 1] - E[:, 1] * rel[..., 0] >= 0.0, axis=1)
+        return np.where(inside, 0.0, np.linalg.norm(gap, axis=-1).min(axis=1))
+
+    return max(to(P, Q).max(), to(Q, P).max())
+
+
+def check_against_scipy(A, b, linprog):
+    """1 if reduce_2d matches the oracle polygon of a set with interior,
+    0 if the set is empty by a margin and comes back as the empty marker,
+    None if the oracle cannot tell."""
+    red = lp.reduce_2d(lp.Polytope(A, b))
+    radius, ref = scipy_polygon(A, b, linprog)
+    if ref is not None:
+        assert hausdorff(red.vertices, ref) <= 1e-9
+        # Never smaller: the oracle's vertices satisfy every reduced row.
+        assert np.all(red.A @ ref.T <= red.b[:, None])
+        assert red.A.shape[0] <= A.shape[0]
+        return 1
+    if radius < -1e-6:
+        assert red.vertices is not None and red.vertices.shape[0] == 0
+        return 0
+    return None
+
+
+def rotate(A, angles):
+    c, s = np.cos(angles), np.sin(angles)
+    return np.column_stack([c * A[:, 0] - s * A[:, 1], s * A[:, 0] + c * A[:, 1]])
+
+
+def unit_rows(angles):
+    angles = np.asarray(angles, dtype=float)
+    return np.column_stack([np.cos(angles), np.sin(angles)])
+
+
+def test_reduce_2d_matches_scipy_on_random_sets(linprog):
+    """Bounded random sets with exact duplicates, rescaled copies, rows
+    parallel to within 1e-12, and extra lines through polygon vertices."""
+    rng = np.random.default_rng(31)
+    counts = {0: 0, 1: 0}
+    for trial in range(300):
+        rows = int(rng.integers(3, 40))
+        A = unit_rows(rng.uniform(-np.pi, np.pi, rows)) * rng.uniform(0.1, 10.0, (rows, 1))
+        b = rng.uniform(-0.1, 2.0, size=rows) * np.linalg.norm(A, axis=1)
+        A = np.vstack([A, [[1, 0], [-1, 0], [0, 1], [0, -1]]])
+        b = np.concatenate([b, [4.0, 4, 4, 4]])
+        pick = rng.integers(0, A.shape[0], size=A.shape[0] // 2)
+        scale = rng.uniform(0.5, 2.0, size=pick.size)
+        near = rotate(A[pick], rng.uniform(-1e-12, 1e-12, pick.size))
+        A = np.vstack([A, A[pick] * scale[:, None], near])
+        b = np.concatenate([b, b[pick] * scale, b[pick] + rng.uniform(-1e-12, 1e-12, pick.size)])
+        if trial % 3 == 0:
+            red = lp.reduce_2d(lp.Polytope(A, b))
+            if red.vertices is not None and red.vertices.shape[0]:
+                # Supporting lines that touch the polygon at one vertex.
+                v = red.vertices[rng.integers(0, red.vertices.shape[0], size=5)]
+                extra = unit_rows(rng.uniform(-np.pi, np.pi, 5))
+                keep = np.max(extra @ red.vertices.T, axis=1) <= np.sum(extra * v, axis=1) + 1e-12
+                A = np.vstack([A, extra[keep]])
+                b = np.concatenate([b, np.sum(extra * v, axis=1)[keep]])
+        verdict = check_against_scipy(A, b, linprog)
+        if verdict is not None:
+            counts[verdict] += 1
+    assert counts[1] >= 100 and counts[0] >= 20, counts
+
+
+def test_reduce_2d_empty_unbounded_and_segment_sets(linprog):
+    def rows(angles, theta):
+        return unit_rows(np.array(angles) + theta)
+
+    # Empty: the empty marker, also between two opposite rows.
+    for theta in (0.0, 0.3, 2.0):
+        for A, b in ((rows([0.0, 2 * np.pi / 3, 4 * np.pi / 3], theta), -np.ones(3)),
+                     (rows([0.0, np.pi, np.pi / 2, -np.pi / 2], theta), [-1.0, 0.5, 1, 1]),
+                     (rows([0.0, np.pi / 2, np.pi], theta), [-1.0, 0.0, -1.0]),
+                     (rows([0.0, np.pi], theta), [0.5, -0.5 - 1e-8])):
+            red = lp.reduce_2d(lp.Polytope(A, b))
+            assert red.vertices.shape == (0, 2) and lp.feasible(red) is None
+    # Normals within a closed half circle: unbounded, returned unchanged.
+    for theta in (0.0, 0.3, 2.0):
+        for angles, b in (([0.0, 0.5], [1.0, 1.0]), ([0.0, np.pi], [1.0, 1.0]),
+                          ([0.0, np.pi], [0.5, -0.5]),
+                          ([0.0, 1.0, 2.0, np.pi], [1.0, 1.0, 1.0, 1.0]),
+                          ([0.0, np.pi / 2, np.pi], [-1.0, 2.0, 1.0])):
+            poly = lp.Polytope(rows(angles, theta), b)
+            red = lp.reduce_2d(poly)
+            assert red is poly and red.vertices is None
+    # A row and a rescaled copy that `_reduce_rows` keeps apart (their
+    # unit normals round to different keys) and that sort as one angle.
+    a = unit_rows([-0.2527628064589411])
+    A = np.vstack([a, 0.685808009620064 * a, [[-1.0, 0.0], [0.0, 1.0], [0.0, -1.0]]])
+    b = np.array([1.0, 0.685808009620064, 1.0, 1.0, 1.0])
+    assert lp._reduce_rows(A, b)[0].shape[0] == 5
+    _, ref = scipy_polygon(A, b, linprog)
+    assert hausdorff(lp.reduce_2d(lp.Polytope(A, b)).vertices, ref) <= 1e-12
+    # A segment, axis-aligned and rotated: the input's rows with the
+    # polygon attached, which contains the segment.
+    for theta in (0.0, 0.3, 2.0):
+        A = rotate(np.array([[1.0, 0], [-1, 0], [0, 1], [0, -1]]), np.full(4, theta))
+        b = np.array([0.3, -0.3, 1.0, 2.0])
+        red = lp.reduce_2d(lp.Polytope(A, b))
+        seg = rotate(np.array([[0.3, 1.0], [0.3, -2.0]]), np.full(2, theta))
+        assert np.array_equal(red.A, A) and np.array_equal(red.b, b)
+        assert hausdorff(red.vertices, seg) <= 1e-8
+        assert np.all(np.abs(A @ red.vertices.T - b[:, None]).min(axis=0) <= 1e-8)
+
+
+def test_reduce_2d_matches_scipy_on_swingup_polytopes(linprog, monkeypatch):
+    # The 34 forward and backward sets of the pendulum swing-up graph
+    # (drift policy, k = 10): about 720 rows each, half of them parallel.
+    from bezreach.models import (
+        ConstraintSet,
+        TrackingCertificate,
+        pendulum_energy_controller,
+        pendulum_model,
+    )
+    from bezreach.planner import controlled_waypoints, sample_vertices
+    from bezreach.reachability import ReachSpec
+
+    model = pendulum_model(0.1, 1.0, 9.81)
+    cs = ConstraintSet(np.array([[1.0, 0], [-1, 0], [0, 1], [0, -1]]),
+                       np.array([2 * np.pi + 1, 1.0, 7.5, 7.5]), u_max=5.0)
+    spec = ReachSpec(model, TrackingCertificate(0.005, 0.0, 1.0, 1.0, 1.0), cs, order=3,
+                     horizon=0.15, refinement=10, reference_policy="drift",
+                     q_gamma_bound=70.0)
+    ctrl = pendulum_energy_controller(0.1, 1.0, 9.81, u_pump=1.0, u_catch=0.15)
+
+    def near_upright(x):
+        return abs(x[0] - 2 * np.pi * round(x[0] / (2 * np.pi))) < 0.015 and abs(x[1]) < 0.03
+
+    origin = np.array([np.pi, 0.0])
+    wps = controlled_waypoints(model, origin, ctrl, hop=0.3, max_hops=400, stop=near_upright)
+    vertices = sample_vertices((np.array([-0.5, -7.0]), np.array([2 * np.pi + 0.5, 7.0])), 4,
+                               seed=11, include=[origin, *wps[1:], np.array([2 * np.pi, 0.0])])
+    monkeypatch.setattr(lp, "reduce_2d", lambda poly: poly)
+    polys = [spec.forward_polytope(v) for v in vertices]
+    polys += [spec.backward_polytope(v) for v in vertices]
+    monkeypatch.undo()
+    assert len(polys) == 34
+    assert sum(check_against_scipy(P.A, P.b, linprog) == 1 for P in polys) == 34

@@ -185,14 +185,24 @@ def test_drift_references_match_scalar_restarts(kind, k):
     spec = ReachSpec(model, TrackingCertificate(0.005, 0.0, 1.0, 1.0, 1.0), cs,
                      order=3, horizon=T, refinement=k, reference_policy="drift",
                      q_gamma_bound=70.0)
-    for anchor in anchors:
-        for direction in ("forward", "backward"):
+    for direction in ("forward", "backward"):
+        batch = spec.references(anchors, direction)
+        assert batch.shape == (anchors.shape[0], k, anchors.shape[1])
+        for anchor, batched in zip(anchors, batch):
             refs = spec.references(anchor, direction)
             assert len(refs) == k
+            assert np.array_equal(batched, refs)
             for i, ref in enumerate(refs):
                 t_mid = (i + 0.5) * T / k
                 t = t_mid if direction == "forward" else -(T - t_mid)
                 assert np.array_equal(ref, drift_flow_oracle(model, anchor, t))
+        # The batched lookup builds the same certificates as one anchor
+        # at a time.
+        fresh = ReachSpec(model, spec.cert, cs, order=3, horizon=T, refinement=k,
+                          reference_policy="drift", q_gamma_bound=70.0)
+        for anchor, cert in zip(anchors, spec.certificates(anchors, direction)):
+            one = fresh.certificate(anchor, direction)
+            assert np.array_equal(cert.F, one.F) and np.array_equal(cert.G, one.G)
 
 
 def test_default_q_gamma_bound_resolved_once_per_spec(monkeypatch):
@@ -240,6 +250,35 @@ def test_state_box_is_reduced_once_per_constraint_set(monkeypatch):
     assert np.array_equal(lo, expected[0]) and np.array_equal(hi, expected[1])
     with pytest.raises(ValueError):
         lo[0] = 0.0
+
+
+def test_build_graph_makes_one_reference_flow_per_direction(monkeypatch):
+    spec = pendulum_spec(policy="drift", refinement=4)
+    flows = []
+    built = []
+    real_references = ReachSpec.references
+    real_certificate_for = ReachSpec.certificate_for
+
+    def counting_references(self, anchors, direction):
+        flows.append((np.shape(anchors), direction))
+        return real_references(self, anchors, direction)
+
+    def counting_certificate_for(self, refs):
+        built.append(1)
+        return real_certificate_for(self, refs)
+
+    monkeypatch.setattr(ReachSpec, "references", counting_references)
+    monkeypatch.setattr(ReachSpec, "certificate_for", counting_certificate_for)
+    rng = np.random.default_rng(8)
+    vertices = rng.uniform([np.pi - 0.3, -1.0], [np.pi + 0.3, 1.0], size=(6, 2))
+    vertices = np.vstack([vertices, vertices[:2]])  # repeated anchors share one
+    build_graph(vertices, spec)
+    assert flows == [((6, 2), "forward"), ((6, 2), "backward")]
+    assert len(built) == 12
+    for v in vertices:
+        spec.certificate(v, "forward")
+        spec.certificate(v, "backward")
+    assert len(flows) == 2 and len(built) == 12
 
 
 def test_sample_cloud_deterministic():
