@@ -5,11 +5,18 @@ Feasibility, linear maximization and bounding boxes for sets
 their polygon.  Every LP first rescales its rows to unit normals, drops
 zero rows and merges parallel duplicates, so its tolerances are
 distances and its verdicts do not depend on how the rows are scaled.
-The solver is a two-phase tableau simplex with Bland's anti-cycling
-rule, one vectorized rank-1 update per pivot; a bounding box shares one
-phase one across its 2n objectives.  Intended for the small problems
-that show up in polytope queries (n <= 64), where robustness matters
-more than speed.
+
+Phase one finds the deepest point of the set (its Chebyshev centre,
+depth capped at 1) by solving the dual of that LP on an (n+2)-row
+tableau; the set is empty when the depth is below -5e-8 (over the
+longest caller row when that is longer than 1).  The deepest point is
+`feasible`'s witness, and phase two starts from it with every slack
+basic, so `feasible`, `maximize` and `bounding_box` share one verdict.
+Pricing is Dantzig's (most negative reduced cost), with Bland's rule
+while the objective stalls on degenerate pivots, so no solve cycles;
+one vectorized rank-1 update per pivot.  Intended for the small
+problems that show up in polytope queries (n <= 64), where robustness
+matters more than speed.
 """
 
 from __future__ import annotations
@@ -20,6 +27,10 @@ from dataclasses import dataclass
 import numpy as np
 
 TOL = 1e-8
+# Emptiness threshold on the deepest point's depth, as a distance.
+_THETA = 5e-8
+# Degenerate pivots in a row before pricing falls back to Bland's rule.
+_STALL = 8
 
 
 class IterationLimitError(RuntimeError):
@@ -78,24 +89,38 @@ def _pivot(T: np.ndarray, basis: np.ndarray, row: int, col: int) -> None:
     basis[row] = col
 
 
-def _bland_simplex(T: np.ndarray, basis: np.ndarray, ncols: int, limit: int) -> str:
+def _bland(reduced: np.ndarray) -> int | None:
+    """Bland's rule: the first column with a negative reduced cost."""
+    enter = np.flatnonzero(reduced < -TOL)
+    return int(enter[0]) if enter.size else None
+
+
+def _simplex(T: np.ndarray, basis: np.ndarray, ncols: int, limit: int) -> str:
     """Minimize the objective in the last tableau row over columns [0, ncols).
 
-    Returns "optimal" or "unbounded".  The rhs is the last column.
+    Returns "optimal" or "unbounded".  The rhs is the last column.  The
+    entering column has the most negative reduced cost (Dantzig), or is
+    chosen by Bland's rule once the objective has stalled on _STALL
+    degenerate pivots in a row, until a pivot moves it again, so no
+    basis sequence cycles.
     """
     m = T.shape[0] - 1
+    stalled = 0
     for _ in range(limit):
-        enter = np.flatnonzero(T[-1, :ncols] < -TOL)
-        if enter.size == 0:
+        reduced = T[-1, :ncols]
+        enter = int(np.argmin(reduced)) if stalled < _STALL else _bland(reduced)
+        if enter is None or reduced[enter] >= -TOL:
             return "optimal"
-        col = T[:m, enter[0]]
+        col = T[:m, enter]
         rows = np.flatnonzero(col > TOL)
         if rows.size == 0:
             return "unbounded"
-        # Bland: smallest ratio, ties broken by smallest basis index.
+        # Smallest ratio, ties broken by smallest basis index.
         ratio = T[rows, -1] / col[rows]
-        ties = rows[ratio <= ratio.min() + 1e-12]
-        _pivot(T, basis, int(ties[np.argmin(basis[ties])]), int(enter[0]))
+        step = ratio.min()
+        ties = rows[ratio <= step + 1e-12]
+        _pivot(T, basis, int(ties[np.argmin(basis[ties])]), enter)
+        stalled = stalled + 1 if step <= 1e-12 else 0
     raise IterationLimitError("simplex iteration limit reached")
 
 
@@ -113,86 +138,97 @@ def _reduce_rows(A: np.ndarray, b: np.ndarray):
         return None
     A = A[~zero] / norms[~zero, None]
     b = b[~zero] / norms[~zero]
-    # + 0.0 turns -0.0 into 0.0 so both land in one group.
-    key = np.round(A * 1e12) + 0.0
-    _, first, group = np.unique(key, axis=0, return_index=True, return_inverse=True)
-    rhs = np.full(first.shape[0], np.inf)
-    np.minimum.at(rhs, group.reshape(-1), b)
-    order = np.argsort(first)
-    return A[first[order]], rhs[order], float(norms.max(initial=0.0))
+    longest = float(norms.max(initial=0.0))
+    if A.shape[0] == 0:
+        return A, b, longest
+    key = np.round(A * 1e12)
+    # A stable sort groups equal keys with their rows in input order.
+    order = np.lexsort(key.T[::-1])
+    key = key[order]
+    starts = np.flatnonzero(np.r_[True, np.any(key[1:] != key[:-1], axis=1)])
+    first = order[starts]
+    rhs = np.minimum.reduceat(b[order], starts)
+    keep = np.argsort(first)
+    return A[first[keep]], rhs[keep], longest
 
 
-def _phase_one(A: np.ndarray, b: np.ndarray):
-    """Basic feasible point of {A x <= b} in split-variable standard form.
+def _deepest(A: np.ndarray, b: np.ndarray):
+    """Unit rows of {A x <= b} and its deepest point, or None if the set
+    is empty.
 
-    Returns (tableau, basis, ncols) with the artificial objective driven
-    to its minimum and the artificials out of the basis, or None if the
-    system is infeasible.  Columns [0, ncols) are x+, x- and the slacks.
+    The deepest point (Chebyshev centre) solves max t subject to
+    A x + t <= b and t <= 1 over the unit rows.  Its dual,
+    min b.y + s subject to A^T y = 0, 1.y + s = 1, y, s >= 0, starts
+    feasible at s = 1 and takes an (n+2)-row tableau; an identity block
+    carries the simplex multipliers, which are (x*, t*).  The set is
+    empty when t* < -_THETA / max(1, longest row), so a witness meets
+    the caller's rows within _THETA.
     """
     rows = _reduce_rows(A, b)
     if rows is None:
         return None
     A, b, longest = rows
     m, n = A.shape
-    sign = np.where(b < 0, -1.0, 1.0)
-    art = np.flatnonzero(sign < 0)
-    n_split = 2 * n
-    n_real = n_split + m
-
-    T = np.zeros((m + 1, n_real + art.size + 1))
-    T[:m, :n] = A * sign[:, None]
-    T[:m, n:n_split] = -T[:m, :n]
-    T[np.arange(m), n_split + np.arange(m)] = sign
-    T[:m, -1] = b * sign
-    basis = n_split + np.arange(m)
-    basis[art] = n_real + np.arange(art.size)
-    T[art, basis[art]] = 1.0
-    if art.size:
-        # Phase-1 objective: sum of artificials, expressed in the current basis.
-        T[-1] = -T[art].sum(axis=0)
-        T[-1, n_real:-1] = 0.0
-        _bland_simplex(T, basis, T.shape[1] - 1, 200 + 50 * (m + n))
-        # The residual bounds each unit row's violation; rows longer than
-        # 1 tighten it so a witness meets the caller's rows within 1e-7.
-        if -T[-1, -1] > 1e-7 / max(1.0, longest):
-            return None
-        # Drive leftover zero-level artificials out of the basis so phase 2
-        # cannot grow them.  Rows with no real pivot candidate are redundant.
-        for i in np.flatnonzero(basis >= n_real):
-            cand = np.flatnonzero(np.abs(T[i, :n_real]) > 1e-9)
-            if cand.size:
-                _pivot(T, basis, int(i), int(cand[0]))
-    return T, basis, n_real
-
-
-def _phase_two(T: np.ndarray, basis: np.ndarray, ncols: int, n: int, c: np.ndarray):
-    """Maximize c^T x from a phase-one tableau, which it overwrites.
-
-    Returns the optimal x, or None when c^T x is unbounded.
-    """
-    # maximize c^T x == minimize -c^T (x+ - x-); artificial columns stay out.
-    obj = np.zeros(T.shape[1])
-    obj[:n] = -c
-    obj[n : 2 * n] = c
-    T[-1] = obj - obj[basis] @ T[:-1]
-    if _bland_simplex(T, basis, ncols, 400 + 100 * (basis.shape[0] + n)) == "unbounded":
+    if m == 0:
+        return A, b, np.zeros(n)
+    # Columns: y, s, the identity block, rhs.  The last row is the cost,
+    # reduced for s basic in row n.
+    T = np.zeros((n + 2, m + n + 3))
+    T[:n, :m] = A.T
+    T[n, : m + 1] = 1.0
+    T[: n + 1, m + 1 : -1] = np.eye(n + 1)
+    T[n, -1] = 1.0
+    T[-1, :m] = b
+    T[-1, m] = 1.0
+    T[-1] -= T[n]
+    basis = np.full(n + 1, m)
+    # Complete the basis with y columns at level zero; a row with no
+    # pivot is redundant (A has rank below n) and is dropped.
+    kept = []
+    for i in range(n):
+        j = int(np.argmax(np.abs(T[i, :m])))
+        if abs(T[i, j]) > 1e-9:
+            _pivot(T, basis, i, j)
+            kept.append(i)
+    T, basis = T[kept + [n, n + 1]], basis[kept + [n]]
+    _simplex(T, basis, m + 1, 200 + 50 * (m + n))
+    if T[-1, -1] > _THETA / max(1.0, longest):
         return None
-    return _extract(T, basis, n)
+    return A, b, -T[-1, m + 1 : m + 1 + n]
 
 
-def _extract(T: np.ndarray, basis: np.ndarray, n: int) -> np.ndarray:
+def _phase_two(A: np.ndarray, b: np.ndarray, x: np.ndarray, c: np.ndarray):
+    """Maximize c^T x' over {A x' <= b} from a point x of the set.
+
+    The tableau is over the step z = z+ - z- from x, on rows shifted to
+    max(b - A x, 0) >= 0, so every slack starts basic.  Returns the
+    optimal x', or None when c^T x' is unbounded.
+    """
+    m, n = A.shape
+    T = np.zeros((m + 1, 2 * n + m + 1))
+    T[:m, :n] = A
+    T[:m, n : 2 * n] = -A
+    T[:m, 2 * n : -1] = np.eye(m)
+    T[:m, -1] = np.maximum(b - A @ x, 0.0)
+    # maximize c^T z == minimize -c^T (z+ - z-); the slacks cost nothing.
+    T[-1, :n] = -c
+    T[-1, n : 2 * n] = c
+    basis = 2 * n + np.arange(m)
+    if _simplex(T, basis, T.shape[1] - 1, 400 + 100 * (m + n)) == "unbounded":
+        return None
     vals = np.zeros(T.shape[1] - 1)
     vals[basis] = T[:-1, -1]
-    return vals[:n] - vals[n : 2 * n]
+    return x + vals[:n] - vals[n : 2 * n]
 
 
 def feasible(poly: Polytope, tol: float = TOL) -> np.ndarray | None:
-    """Witness point of {x | Ax <= b + tol}, or None if the set is empty."""
-    out = _phase_one(poly.A, poly.b)
+    """Deepest point of {x | Ax <= b}, capped at unit depth, as the witness
+    that the set is not empty; None if it is.  The witness is checked
+    against the caller's rows within max(tol, 1e-7)."""
+    out = _deepest(poly.A, poly.b)
     if out is None:
         return None
-    T, basis, _ = out
-    x = _extract(T, basis, poly.dim)
+    x = out[2]
     if not np.all(poly.A @ x <= poly.b + max(tol, 1e-7)):
         raise WitnessError("simplex witness violates the constraints")
     return x
@@ -203,10 +239,10 @@ def maximize(poly: Polytope, c) -> LPResult:
     c = np.asarray(c, dtype=float).reshape(-1)
     if c.shape[0] != poly.dim:
         raise ValueError("objective dimension mismatch")
-    out = _phase_one(poly.A, poly.b)
+    out = _deepest(poly.A, poly.b)
     if out is None:
         return LPResult("infeasible")
-    x = _phase_two(*out, poly.dim, c)
+    x = _phase_two(*out, c)
     if x is None:
         return LPResult("unbounded")
     return LPResult("optimal", x=x, value=float(c @ x))
@@ -316,7 +352,7 @@ def bounding_box(poly: Polytope):
 
     Returns None if the polytope is empty.  A bounded 2-D set takes the
     extremes of its polygon's vertices; anything else runs one phase one
-    and a phase two per coordinate direction.
+    and a phase two per coordinate direction from its deepest point.
     """
     if poly.dim == 2 and poly.vertices is None:
         poly = reduce_2d(poly)
@@ -324,14 +360,13 @@ def bounding_box(poly: Polytope):
         if poly.vertices.shape[0] == 0:
             return None
         return poly.vertices.min(axis=0), poly.vertices.max(axis=0)
-    out = _phase_one(poly.A, poly.b)
+    out = _deepest(poly.A, poly.b)
     if out is None:
         return None
-    T, basis, ncols = out
     n = poly.dim
-    # Extremes along +e_1..+e_n, then -e_1..-e_n, from one shared phase one.
+    # Extremes along +e_1..+e_n, then -e_1..-e_n, each from the deepest point.
     ext = np.empty(2 * n)
     for k, c in enumerate(np.vstack([np.eye(n), -np.eye(n)])):
-        x = _phase_two(T.copy(), basis.copy(), ncols, n, c)
+        x = _phase_two(*out, c)
         ext[k] = np.inf if x is None else c @ x
     return -ext[n:], ext[:n]

@@ -133,7 +133,8 @@ def rollout(
     x_sim = np.empty((steps + 1, model.n))
     x_sim[0] = x
     for i, x in enumerate(rk4(closed_loop, x, total / steps, steps), start=1):
-        if np.any(x < safe_lo) or np.any(x > safe_hi):
+        # Written so that a NaN state fails it too.
+        if not ((safe_lo <= x) & (x <= safe_hi)).all():
             raise DivergenceError(f"state {x} left the safety box at t={t_grid[i]}")
         x_sim[i] = x
 

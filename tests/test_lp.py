@@ -97,7 +97,7 @@ def test_maximize_matches_vertex_oracle():
 
 def test_feasible_rejects_violating_witness(monkeypatch):
     unit = lp.Polytope(np.vstack([np.eye(2), -np.eye(2)]), np.ones(4))
-    monkeypatch.setattr(lp, "_extract", lambda T, basis, n: np.full(n, 5.0))
+    monkeypatch.setattr(lp, "_deepest", lambda A, b: (A, b, np.full(A.shape[1], 5.0)))
     with pytest.raises(lp.WitnessError):
         lp.feasible(unit)
 
@@ -276,12 +276,14 @@ def test_zero_rows_drop_or_empty_the_set():
     assert np.allclose(lo, -1.0, atol=1e-12) and np.allclose(hi, 1.0, atol=1e-12)
 
 
-def random_polytope_nd(rng, n, rows):
+def random_polytope_nd(rng, n, rows, kind=None):
     """Random rows, bounded or not, empty or not, with a degenerate
-    vertex (several rows through one point) in a third of the draws."""
+    vertex (several rows through one point) in a third of the draws;
+    `kind` 0, 1 or 2 picks the plain, boxed or degenerate family."""
     A = rng.normal(size=(rows, n))
     b = rng.uniform(-0.5, 2.0, size=rows)
-    kind = rng.integers(3)
+    if kind is None:
+        kind = rng.integers(3)
     if kind == 1:  # bounded: add a box
         A = np.vstack([A, np.eye(n), -np.eye(n)])
         b = np.concatenate([b, np.full(2 * n, 3.0)])
@@ -345,6 +347,9 @@ def test_feasible_matches_linprog_oracle(max_margin):
         assert (w is not None) == (margin > 0)
         if w is not None:
             assert poly.contains(w, tol=1e-7)
+            # The witness is the deepest point, capped at unit depth.
+            depth = np.min((poly.b - poly.A @ w) / np.linalg.norm(poly.A, axis=1))
+            assert depth >= min(margin, 1.0) - 1e-9
         verdicts[margin > 0] += 1
     assert min(verdicts.values()) >= 20, verdicts
 
@@ -386,6 +391,127 @@ def test_bounding_box_matches_linprog_box(linprog, max_margin):
                     assert abs(got - sign * ref.fun) <= 1e-7 * max(1.0, abs(ref.fun))
         checked += 1
     assert checked >= 100
+
+
+def unique_reduce_rows(A, b):
+    """Reference row merge: groups from np.unique over the rounded unit rows."""
+    norms = np.sqrt(np.einsum("ij,ij->i", A, A))
+    zero = norms == 0.0
+    if np.any(b[zero] < -1e-7):
+        return None
+    A = A[~zero] / norms[~zero, None]
+    b = b[~zero] / norms[~zero]
+    key = np.round(A * 1e12) + 0.0
+    _, first, group = np.unique(key, axis=0, return_index=True, return_inverse=True)
+    rhs = np.full(first.shape[0], np.inf)
+    np.minimum.at(rhs, group.reshape(-1), b)
+    order = np.argsort(first)
+    return A[first[order]], rhs[order], float(norms.max(initial=0.0))
+
+
+def test_reduce_rows_is_bitwise_equal_to_unique_version():
+    rng = np.random.default_rng(41)
+    sets = [(P.A, P.b) for _, _, P in oracle_instances(21, 60)]
+    for trial in range(200):
+        poly = random_polytope_nd(rng, 2 + trial % 4, int(rng.integers(1, 30)))
+        other = rows_rewritten(poly, rng)
+        # Rows parallel to within about 1e-12, and signed zeros.
+        near = other.A * (1.0 + rng.uniform(-1e-12, 1e-12, other.A.shape))
+        near[rng.random(near.shape) < 0.1] *= 0.0
+        near[rng.random(near.shape) < 0.1] *= -0.0
+        sets += [(poly.A, poly.b), (other.A, other.b), (near, other.b)]
+    sets.append((np.zeros((3, 2)), np.array([1.0, 0.0, -1e-8])))
+    sets.append((np.zeros((2, 3)), np.array([1.0, -1e-3])))
+    merged = 0
+    for A, b in sets:
+        got, ref = lp._reduce_rows(A, b), unique_reduce_rows(A, b)
+        assert (got is None) == (ref is None)
+        if ref is not None:
+            assert all(np.array_equal(g, r) for g, r in zip(got, ref))
+            merged += got[0].shape[0] < np.count_nonzero(np.any(A != 0.0, axis=1))
+    assert merged >= 200, merged
+
+
+def beale_tableau():
+    """Beale's LP, min -3/4 x1 + 20 x2 - 1/2 x3 + 6 x4 subject to
+    1/4 x1 - 8 x2 - x3 + 9 x4 <= 0, 1/2 x1 - 12 x2 - 1/2 x3 + 3 x4 <= 0,
+    x3 <= 1, x >= 0, as a tableau with the slacks basic; Dantzig pricing
+    with the smallest-index ratio tie rule cycles on it."""
+    A = np.array([[0.25, -8.0, -1.0, 9.0], [0.5, -12.0, -0.5, 3.0], [0.0, 0.0, 1.0, 0.0]])
+    T = np.zeros((4, 8))
+    T[:3, :4], T[:3, 4:7], T[2, -1] = A, np.eye(3), 1.0
+    T[-1, :4] = [-0.75, 20.0, -0.5, 6.0]
+    return A, T, np.arange(4, 7)
+
+
+def counting_bland(monkeypatch):
+    calls = []
+    real = lp._bland
+
+    def bland(reduced):
+        calls.append(1)
+        return real(reduced)
+
+    monkeypatch.setattr(lp, "_bland", bland)
+    return calls
+
+
+def test_beale_cycling_lp_terminates_by_bland_fallback(monkeypatch, linprog):
+    A, T, basis = beale_tableau()
+    c = -T[-1, :4]
+    ref = linprog(-c, A_ub=A, b_ub=T[:3, -1], method="highs")
+    calls = counting_bland(monkeypatch)
+    assert lp._simplex(T, basis, 7, 100) == "optimal"
+    assert abs(T[-1, -1] + ref.fun) <= 1e-12 and calls
+    # Without the fallback, Dantzig pricing cycles.
+    monkeypatch.setattr(lp, "_STALL", 10**9)
+    A, T, basis = beale_tableau()
+    with pytest.raises(lp.IterationLimitError):
+        lp._simplex(T, basis, 7, 100)
+    monkeypatch.undo()
+    # Through the public API, with x >= 0 as rows.
+    res = lp.maximize(lp.Polytope(np.vstack([A, -np.eye(4)]), np.r_[0.0, 0.0, 1.0, np.zeros(4)]), c)
+    assert res.status == "optimal" and abs(res.value + ref.fun) <= 1e-9
+
+
+def test_degenerate_family_terminates_and_matches_linprog(monkeypatch, linprog, max_margin):
+    """Sets with several rows through one point, down to the point alone
+    (margin 0), where the verdict may go either way but the optima
+    must agree whenever both solvers find the set feasible."""
+    calls = counting_bland(monkeypatch)
+    rng = np.random.default_rng(42)
+    statuses = {"optimal": 0, "unbounded": 0, "infeasible": 0}
+    status = {0: "optimal", 2: "infeasible", 3: "unbounded"}
+    points = 0
+    for trial in range(150):
+        n = 2 + trial % 4
+        poly = random_polytope_nd(rng, n, int(rng.integers(n + 1, 4 * n + 4)), kind=2)
+        sure = abs(max_margin(poly.A, poly.b)) > 1e-6
+        points += not sure
+        # Near a single point the 5e-8 emptiness threshold moves optima
+        # further than on a set with interior.
+        tol = 1e-7 if sure else 1e-6
+        c = rng.normal(size=n)
+        free = [(None, None)] * n
+        ref = linprog(-c, A_ub=poly.A, b_ub=poly.b, bounds=free, method="highs")
+        res = lp.maximize(poly, c)
+        assert (lp.feasible(poly) is None) == (res.status == "infeasible")
+        if sure:
+            assert res.status == status[ref.status]
+        if res.status == "optimal" and ref.status == 0:
+            assert abs(res.value + ref.fun) <= tol * max(1.0, abs(ref.fun))
+        statuses[res.status] += 1
+        box = lp.bounding_box(poly)
+        assert (box is None) == (res.status == "infeasible")
+        for i, e in enumerate(np.eye(n) if box is not None else []):
+            for got, sign in ((box[1][i], 1.0), (box[0][i], -1.0)):
+                ref = linprog(-sign * e, A_ub=poly.A, b_ub=poly.b, bounds=free, method="highs")
+                if ref.status == 3:
+                    assert got == sign * np.inf
+                elif ref.status == 0:
+                    assert abs(got + sign * ref.fun) <= tol * max(1.0, abs(ref.fun))
+    assert min(statuses.values()) >= 10 and points >= 10, (statuses, points)
+    assert calls, "the Bland fallback never ran"
 
 
 # -- reduce_2d against SciPy's half-space intersection ---------------------

@@ -128,24 +128,38 @@ def test_graph_deterministic():
         assert np.array_equal(a.edges[k], b.edges[k])
 
 
-def test_4d_graph_matches_linprog_oracle(monkeypatch, max_margin):
+def dint4d_spec():
     model = integrator_chain(2, 2)
     cs = box_constraints(-np.ones(4), np.ones(4), 2.0)
     cert = TrackingCertificate(0.01, 0.0, 1.0, 1.0, 1.0)
-    spec = ReachSpec(model, cert, cs, order=3, horizon=1.0,
+    return ReachSpec(model, cert, cs, order=3, horizon=1.0,
                      reference_policy="fixed", x_ref=np.zeros(4),
                      q_gamma_bound=10.0)
-    verdicts = []
+
+
+def dint4d_vertices(seed):
+    return sample_vertices((-0.7 * np.ones(4), 0.7 * np.ones(4)), 6, seed=seed)
+
+
+def recording_feasible(monkeypatch):
+    """Wrap lp.feasible; the returned list collects each call's result."""
+    results = []
     real_feasible = lp.feasible
 
-    def recording_feasible(poly, *args, **kwargs):
+    def feasible(poly, *args, **kwargs):
         w = real_feasible(poly, *args, **kwargs)
-        verdicts.append(w is not None)
+        results.append(w)
         return w
 
-    monkeypatch.setattr(lp, "feasible", recording_feasible)
+    monkeypatch.setattr(lp, "feasible", feasible)
+    return results
+
+
+def test_4d_graph_matches_linprog_oracle(monkeypatch, max_margin):
+    spec = dint4d_spec()
+    results = recording_feasible(monkeypatch)
     for seed in range(3):
-        verts = sample_vertices((-0.7 * np.ones(4), 0.7 * np.ones(4)), 6, seed=seed)
+        verts = dint4d_vertices(seed)
         graph = build_graph(verts, spec)
         fwd = [spec.forward_polytope(v) for v in verts]
         bwd = [spec.backward_polytope(v) for v in verts]
@@ -157,7 +171,74 @@ def test_4d_graph_matches_linprog_oracle(monkeypatch, max_margin):
         for (i, j), w in graph.edges.items():
             assert fwd[i].contains(w, tol=1e-7) and bwd[j].contains(w, tol=1e-7)
     # The LP tier decided some pairs each way.
+    verdicts = [w is not None for w in results]
     assert any(verdicts) and not all(verdicts)
+
+
+def test_4d_feasibility_lps_stay_within_pivot_budget(monkeypatch):
+    # The 40 feasibility LPs of the 4-D oracle graphs took 1,608 pivots
+    # with a primal phase one under Bland's rule, and take 501 with the
+    # dual phase one under Dantzig pricing.
+    counts = {"calls": 0, "pivots": 0, "inside": False}
+    real_pivot, real_feasible = lp._pivot, lp.feasible
+
+    def pivot(*args):
+        counts["pivots"] += counts["inside"]
+        return real_pivot(*args)
+
+    def feasible(poly, *args, **kwargs):
+        counts["calls"] += 1
+        counts["inside"] = True
+        try:
+            return real_feasible(poly, *args, **kwargs)
+        finally:
+            counts["inside"] = False
+
+    monkeypatch.setattr(lp, "_pivot", pivot)
+    monkeypatch.setattr(lp, "feasible", feasible)
+    spec = dint4d_spec()
+    for seed in range(3):
+        build_graph(dint4d_vertices(seed), spec)
+    assert counts["calls"] == 40 and counts["pivots"] <= 800, counts
+
+
+def small_drift_graph_case():
+    """Pendulum, drift policy (k = 4): six energy-pump waypoints from
+    hanging plus two samples."""
+    model = pendulum_model(0.1, 1.0, 9.81)
+    cs = box_constraints([-1.0, -7.5], [2 * np.pi + 1, 7.5], 5.0)
+    spec = ReachSpec(model, TrackingCertificate(0.005, 0.0, 1.0, 1.0, 1.0), cs, order=3,
+                     horizon=0.15, refinement=4, reference_policy="drift",
+                     q_gamma_bound=70.0)
+    ctrl = pendulum_energy_controller(0.1, 1.0, 9.81, u_pump=1.0, u_catch=0.15)
+    wps = controlled_waypoints(model, np.array([np.pi, 0.0]), ctrl, hop=0.3, max_hops=6)
+    verts = sample_vertices((np.array([-0.5, -7.0]), np.array([2 * np.pi + 0.5, 7.0])), 2,
+                            seed=11, include=list(wps))
+    return spec, verts
+
+
+def test_lp_tier_witnesses_leave_certificate_slack(monkeypatch):
+    """An LP-tier witness is the deepest point of F(v_i) n B(v_j), so both
+    of its curves meet their certificates with slack >= 0."""
+    results = recording_feasible(monkeypatch)
+    spec4 = dint4d_spec()
+    cases = [(spec4, dint4d_vertices(seed)) for seed in range(3)]
+    cases.append(small_drift_graph_case())
+    checked = []
+    for spec, verts in cases:
+        results.clear()
+        graph = build_graph(verts, spec)
+        for (i, j), w in graph.edges.items():
+            if not any(w is r for r in results):
+                continue  # a vertex or midpoint witness
+            for cert, curve in ((spec.certificate(verts[i], "forward"),
+                                 spec.curve_between(verts[i], w)),
+                                (spec.certificate(verts[j], "backward"),
+                                 spec.curve_between(w, verts[j]))):
+                vec = curve.points.reshape(-1, order="F")
+                assert np.min(cert.G - cert.F @ vec) >= 0.0, (i, j)
+            checked.append(spec is spec4)
+    assert sum(checked) >= 20 and not all(checked), checked
 
 
 # -- search ------------------------------------------------------------------

@@ -81,6 +81,16 @@ def test_divergence_detected():
         rollout(model, traj, cs, TrackingCertificate.exact(), kp=-200.0, kd=-200.0)
 
 
+def test_nan_state_raises_divergence():
+    # Every comparison with NaN is False: a NaN state must fail the
+    # safety-box check, not run on and report a violation at the end.
+    model = integrator_chain(2, 1)
+    cs = box_constraints([-1, -1], [1, 1], 1.0)
+    traj = hold_trajectory(np.zeros(2))
+    with pytest.raises(DivergenceError):
+        rollout(model, traj, cs, TrackingCertificate.exact(), x0=np.array([np.nan, 0.0]))
+
+
 def test_rk4_convergence_order():
     # Halving dt cuts terminal error by ~2^4; accept factor in [8, 32].
     model = pendulum_model(0.1, 1.0, 9.81)
