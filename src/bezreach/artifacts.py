@@ -39,52 +39,56 @@ def sha256_file(path) -> str:
     return hashlib.sha256(Path(path).read_bytes()).hexdigest()
 
 
-def _svg_frame(width: int, height: int, body: list[str]) -> str:
+# SVG canvas size and plot margin, in pixels.
+_WIDTH, _HEIGHT, _PAD = 480, 360, 20
+
+
+def _svg_frame(body: list[str]) -> str:
     head = (
-        f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" '
-        f'height="{height}" viewBox="0 0 {width} {height}">'
+        f'<svg xmlns="http://www.w3.org/2000/svg" width="{_WIDTH}" '
+        f'height="{_HEIGHT}" viewBox="0 0 {_WIDTH} {_HEIGHT}">'
     )
     border = (
-        f'<rect x="0.5" y="0.5" width="{width - 1}" height="{height - 1}" '
+        f'<rect x="0.5" y="0.5" width="{_WIDTH - 1}" height="{_HEIGHT - 1}" '
         'fill="white" stroke="black"/>'
     )
     return "\n".join([head, border] + body + ["</svg>"]) + "\n"
 
 
-def _scale(points: np.ndarray, width: int, height: int, pad: int = 20):
+def _scale(points: np.ndarray):
     lo = points.min(axis=0)
     hi = points.max(axis=0)
     span = np.where(hi - lo < 1e-12, 1.0, hi - lo)
 
     def to_px(p):
-        sx = pad + (p[0] - lo[0]) / span[0] * (width - 2 * pad)
-        sy = height - pad - (p[1] - lo[1]) / span[1] * (height - 2 * pad)
+        sx = _PAD + (p[0] - lo[0]) / span[0] * (_WIDTH - 2 * _PAD)
+        sy = _HEIGHT - _PAD - (p[1] - lo[1]) / span[1] * (_HEIGHT - 2 * _PAD)
         return sx, sy
 
     return to_px
 
 
-def write_scatter_svg(path, points: np.ndarray, width: int = 480, height: int = 360) -> None:
+def write_scatter_svg(path, points: np.ndarray) -> None:
     """Scatter plot of 2-D points without any plotting dependency."""
     points = np.atleast_2d(np.asarray(points, dtype=float))
     if points.size == 0:
-        Path(path).write_text(_svg_frame(width, height, []))
+        Path(path).write_text(_svg_frame([]))
         return
-    to_px = _scale(points, width, height)
+    to_px = _scale(points)
     body = []
     for p in points:
         x, y = to_px(p)
         body.append(f'<circle cx="{x:.2f}" cy="{y:.2f}" r="2" fill="steelblue"/>')
-    Path(path).write_text(_svg_frame(width, height, body))
+    Path(path).write_text(_svg_frame(body))
 
 
-def write_polyline_svg(path, points: np.ndarray, width: int = 480, height: int = 360) -> None:
+def write_polyline_svg(path, points: np.ndarray) -> None:
     """Polyline through 2-D points (trajectory phase plot)."""
     points = np.atleast_2d(np.asarray(points, dtype=float))
     if points.shape[0] < 2:
-        write_scatter_svg(path, points, width, height)
+        write_scatter_svg(path, points)
         return
-    to_px = _scale(points, width, height)
+    to_px = _scale(points)
     coords = " ".join(f"{x:.2f},{y:.2f}" for x, y in (to_px(p) for p in points))
     body = [f'<polyline points="{coords}" fill="none" stroke="firebrick"/>']
-    Path(path).write_text(_svg_frame(width, height, body))
+    Path(path).write_text(_svg_frame(body))

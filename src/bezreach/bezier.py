@@ -10,7 +10,6 @@ approximation anywhere is floating point.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 from functools import lru_cache
@@ -100,23 +99,6 @@ class BezierCurve:
     def elevated(self) -> "BezierCurve":
         E = elevation_matrix(self.order + 1)
         return BezierCurve(self.duration, self.points @ E)
-
-    def to_json(self) -> str:
-        return json.dumps(
-            {
-                "order": self.order,
-                "duration": self.duration,
-                "points": self.points.tolist(),
-            }
-        )
-
-    @staticmethod
-    def from_json(text: str) -> "BezierCurve":
-        doc = json.loads(text)
-        pts = np.asarray(doc["points"], dtype=float)
-        if pts.shape[1] != doc["order"] + 1:
-            raise ValueError("point matrix inconsistent with declared order")
-        return BezierCurve(doc["duration"], pts)
 
 
 def diff_matrix(p: int, T: float) -> np.ndarray:
@@ -228,13 +210,11 @@ def solve_boundary(
     D: np.ndarray,
     x0: np.ndarray,
     xT: np.ndarray,
-    regularizer: np.ndarray | None = None,
 ) -> np.ndarray:
     """Control points meeting the boundary values encoded by D.
 
-    Underdetermined systems resolve to the minimum-norm solution, or to
-    the minimizer of vec(points)^T R vec(points) when a positive definite
-    `regularizer` R is supplied.  Deterministic for fixed inputs.
+    Underdetermined systems resolve to the minimum-norm solution.
+    Deterministic for fixed inputs.
     """
     x0 = np.asarray(x0, dtype=float).reshape(-1)
     xT = np.asarray(xT, dtype=float).reshape(-1)
@@ -246,19 +226,7 @@ def solve_boundary(
         raise ValueError(f"state dimension {n} not divisible by gamma={gamma}")
     m = n // gamma
     B = np.concatenate([x0, xT]).reshape(m, 2 * gamma, order="F")
-    if regularizer is None:
-        return B @ np.linalg.pinv(D)
-    p1 = D.shape[0]
-    R = np.asarray(regularizer, dtype=float)
-    if R.shape != (m * p1, m * p1):
-        raise ValueError("regularizer must act on vec(points)")
-    # Equality-constrained quadratic program via KKT: D_vec as kron(D^T, I_m).
-    Dv = np.kron(D.T, np.eye(m))
-    k = Dv.shape[0]
-    KKT = np.block([[2.0 * R, Dv.T], [Dv, np.zeros((k, k))]])
-    rhs = np.concatenate([np.zeros(m * p1), np.concatenate([x0, xT])])
-    sol = np.linalg.solve(KKT, rhs)
-    return sol[: m * p1].reshape(m, p1, order="F")
+    return B @ np.linalg.pinv(D)
 
 
 def state_matrix(points: np.ndarray, gamma: int, T: float) -> np.ndarray:

@@ -85,6 +85,8 @@ def _get(cfg: dict, path: str, kind=None, default=_SENTINEL):
 
 def _number(cfg, path, default=_SENTINEL):
     v = _get(cfg, path, default=default)
+    if v is None and default is None:
+        return v
     if isinstance(v, bool) or not isinstance(v, (int, float)):
         raise ConfigError(path, "expected a number")
     return float(v)
@@ -171,6 +173,19 @@ def _finish(out: Path, cfg: dict, command: str, seed, files: list[str], t0: floa
     if extra:
         meta.update(extra)
     artifacts.write_json(out / "metadata.json", meta)
+
+
+def _rollout(cfg: dict, model, traj, cs, cert, seed: int):
+    """Roll out a trajectory under the config's `sim` block."""
+    return rollout(
+        model, traj, cs, cert,
+        kp=_number(cfg, "sim.gains.kp", 0.5),
+        kd=_number(cfg, "sim.gains.kd", 0.5),
+        disturbance=_get(cfg, "sim.disturbance", str, "zero"),
+        seed=seed,
+        disturbance_scale=_number(cfg, "sim.disturbance_scale", 1.0),
+        dt=_number(cfg, "sim.dt", None),
+    )
 
 
 def _write_rollout_csv(out: Path, model, res) -> None:
@@ -314,14 +329,7 @@ def cmd_plan(cfg: dict, out: Path, seed: int) -> int:
         return EXIT_INFEASIBLE
     traj = extract_trajectory(graph, path)
 
-    res = rollout(
-        model, traj, cs, cert,
-        kp=_number(cfg, "sim.gains.kp", 0.5),
-        kd=_number(cfg, "sim.gains.kd", 0.5),
-        disturbance=_get(cfg, "sim.disturbance", str, "zero"),
-        seed=seed,
-        dt=_get(cfg, "sim.dt", default=None),
-    )
+    res = _rollout(cfg, model, traj, cs, cert, seed)
     report = monitor(res, cs)
 
     files = ["graph.json", "trajectory.json", "trajectory.csv", "rollout.csv",
@@ -364,15 +372,7 @@ def cmd_simulate(cfg: dict, out: Path, seed: int) -> int:
     except (OSError, json.JSONDecodeError) as exc:
         raise ConfigError("sim.trajectory", f"cannot load trajectory: {exc}") from exc
     traj = PlannedTrajectory.from_json_dict(doc)
-    res = rollout(
-        model, traj, cs, cert,
-        kp=_number(cfg, "sim.gains.kp", 0.5),
-        kd=_number(cfg, "sim.gains.kd", 0.5),
-        disturbance=_get(cfg, "sim.disturbance", str, "zero"),
-        seed=seed,
-        disturbance_scale=_number(cfg, "sim.disturbance_scale", 1.0),
-        dt=_get(cfg, "sim.dt", default=None),
-    )
+    res = _rollout(cfg, model, traj, cs, cert, seed)
     report = monitor(res, cs)
     files = ["rollout.csv", "summary.json"]
     _write_rollout_csv(out, model, res)

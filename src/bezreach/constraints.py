@@ -64,32 +64,23 @@ class CertificatePolytope:
         vec = np.asarray(points, dtype=float).reshape(-1, order="F")
         return bool(np.all(self.F @ vec <= self.G + tol))
 
-    def to_halfspace_text(self) -> str:
-        lines = []
-        for row, g in zip(self.F, self.G):
-            coeffs = " ".join(f"{v:.17g}" for v in row)
-            lines.append(f"{coeffs} <= {g:.17g}")
-        return "\n".join(lines) + "\n"
-
 
 def input_bound_row(
     cert: TrackingCertificate, x_ref: np.ndarray, u_max: float
 ) -> MixedConstraintRow:
     """Row guaranteeing the tracker's applied input stays within u_max.
 
-    The constant offset charges the tracker's effort at the reference
-    plus its reaction to the base error bound: K = ||k_ref|| +
-    max(1, L_k) * e0.  Raises if the tracker cannot be feasible at all.
+    The constant offset charges the tracker's reaction to the base error
+    bound, K = max(1, L_k) * e0; the tracker applies no feedback at the
+    reference itself.  Raises if the tracker cannot be feasible at all.
     """
     x_ref = np.asarray(x_ref, dtype=float).reshape(-1)
-    k_ref = float(cert.k_ref_norm(x_ref))
-    deficit = u_max - cert.e0 - k_ref
+    deficit = u_max - cert.e0
     if deficit <= 0:
         raise InfeasibleCertificateError(
-            f"u_max={u_max} leaves no margin: e(0)={cert.e0}, "
-            f"||k(ref)||={k_ref} (deficit {deficit:.3e})"
+            f"u_max={u_max} leaves no margin: e(0)={cert.e0} (deficit {deficit:.3e})"
         )
-    K = k_ref + max(1.0, cert.lipschitz_k) * cert.e0
+    K = max(1.0, cert.lipschitz_k) * cert.e0
     return MixedConstraintRow(
         a1=np.zeros(x_ref.shape[0]),
         a2=cert.lipschitz_k * (1.0 + cert.lipschitz_psi),
@@ -217,18 +208,16 @@ def sigma_box(
     model: PlanningModel,
     cs: ConstraintSet,
     x_ref: np.ndarray,
-    q_gamma_bound: float | None = None,
+    q_gamma_bound: float,
 ) -> np.ndarray:
     """Bounds on (||x - x_ref||, ||q^(gamma) - f(x_ref)||) over C_X.
 
     The first entry comes from the bounding box of the state polytope;
-    the second from a configured (or derived) bound on ||q^(gamma)||.
+    the second from the bound on ||q^(gamma)||.
     """
     x_ref = np.asarray(x_ref, dtype=float).reshape(-1)
     lo, hi = cs.bounding_box()
     s1 = float(np.max(np.maximum(np.abs(lo - x_ref), np.abs(hi - x_ref))))
-    if q_gamma_bound is None:
-        q_gamma_bound = default_q_gamma_bound(model, cs)
     f_ref = np.atleast_1d(model.f_d(x_ref))
     s2 = float(q_gamma_bound + np.max(np.abs(f_ref)))
     if s1 <= 0 or s2 <= 0 or not np.isfinite(s1 + s2):
@@ -236,12 +225,12 @@ def sigma_box(
     return np.array([s1, s2])
 
 
-def default_q_gamma_bound(model: PlanningModel, cs: ConstraintSet, samples: int = 512) -> float:
+def default_q_gamma_bound(model: PlanningModel, cs: ConstraintSet) -> float:
     """Reachable top-derivative magnitude: max ||f|| + max ||g|| * u_max,
-    estimated on a deterministic sample of the C_X bounding box."""
+    estimated on 512 deterministic samples of the C_X bounding box."""
     lo, hi = cs.bounding_box()
     rng = np.random.default_rng(0)
-    xs = rng.uniform(lo, hi, size=(samples, model.n))
+    xs = rng.uniform(lo, hi, size=(512, model.n))
     f_max = float(np.max(np.abs(model.f_d(xs))))
     g_max = float(np.max(np.sum(np.abs(model.g_d(xs)), axis=-1)))
     return f_max + g_max * cs.effective_u_max()

@@ -29,8 +29,12 @@ import numpy as np
 TOL = 1e-8
 # Emptiness threshold on the deepest point's depth, as a distance.
 _THETA = 5e-8
+# How far a witness may sit outside the caller's rows.
+_WITNESS_TOL = 1e-7
 # Degenerate pivots in a row before pricing falls back to Bland's rule.
 _STALL = 8
+# Outward shift of the rows `reduce_2d` keeps; a 2-D set empty by less gets a polygon.
+_PAD = 1e-9
 
 
 class IterationLimitError(RuntimeError):
@@ -221,15 +225,15 @@ def _phase_two(A: np.ndarray, b: np.ndarray, x: np.ndarray, c: np.ndarray):
     return x + vals[:n] - vals[n : 2 * n]
 
 
-def feasible(poly: Polytope, tol: float = TOL) -> np.ndarray | None:
+def feasible(poly: Polytope) -> np.ndarray | None:
     """Deepest point of {x | Ax <= b}, capped at unit depth, as the witness
     that the set is not empty; None if it is.  The witness is checked
-    against the caller's rows within max(tol, 1e-7)."""
+    against the caller's rows within _WITNESS_TOL."""
     out = _deepest(poly.A, poly.b)
     if out is None:
         return None
     x = out[2]
-    if not np.all(poly.A @ x <= poly.b + max(tol, 1e-7)):
+    if not np.all(poly.A @ x <= poly.b + _WITNESS_TOL):
         raise WitnessError("simplex witness violates the constraints")
     return x
 
@@ -254,7 +258,7 @@ EMPTY_2D = Polytope(
 
 
 def _polygon(A: np.ndarray, b: np.ndarray):
-    """Edge lines and ccw vertices of {A x <= b}, or None if it is empty.
+    """Edge lines of {A x <= b} in ccw order, or None if it is empty.
 
     The rows have unit normals in ccw order, each turning from the last
     by less than pi, so the set is bounded.  One pass of the deque
@@ -268,8 +272,7 @@ def _polygon(A: np.ndarray, b: np.ndarray):
         return ax[i] * ay[j] - ay[i] * ax[j]
 
     def meet(i, j):
-        # Placed on line i, so a nearly parallel line j moves the vertex
-        # along line i, not off it.
+        # Placed as `_vertices` places it.
         t = (bb[j] - bb[i] * (ax[i] * ax[j] + ay[i] * ay[j])) / cross(i, j)
         return bb[i] * ax[i] - t * ay[i], bb[i] * ay[i] + t * ax[i]
 
@@ -299,20 +302,30 @@ def _polygon(A: np.ndarray, b: np.ndarray):
         dq.popleft()
     if len(dq) < 3 or cross(dq[-1], dq[0]) <= 0.0:
         return None
-    lines = list(dq)
-    return lines, np.array([meet(i, j) for i, j in zip(lines, lines[1:] + lines[:1])])
+    return list(dq)
 
 
-def reduce_2d(poly: Polytope, tol: float = 1e-9) -> Polytope:
+def _vertices(A: np.ndarray, b: np.ndarray, lines: list[int]) -> np.ndarray:
+    """Where each of the ccw edge lines meets the next.  Each vertex is
+    placed on the first of its two lines, so a nearly parallel second
+    line moves it along that line, not off it."""
+    i = np.array(lines)
+    j = np.roll(i, -1)
+    (xi, yi), (xj, yj), bi = A[i].T, A[j].T, b[i]
+    t = (b[j] - bi * (xi * xj + yi * yj)) / (xi * yj - yi * xj)
+    return np.column_stack([bi * xi - t * yi, bi * yi + t * xi])
+
+
+def reduce_2d(poly: Polytope) -> Polytope:
     """Equivalent polytope with redundant rows removed (2-D only).
 
     Merges parallel rows, sorts the unit normals by angle and intersects
     the half-planes in one pass; the result keeps the rows of the
-    polygon's edges, padded by `tol`, and carries the polygon as
+    polygon's edges, padded by _PAD, and carries the polygon as
     `vertices`.  Returns the input unchanged when the normals leave an
     angular gap of pi or more (the set is unbounded), and the input's
     rows with the polygon attached when it degenerates below a proper
-    polygon (fewer than three edges, or empty only by up to `tol`);
+    polygon (fewer than three edges, or empty only by up to _PAD);
     returns an infeasible marker when the set is empty.
     """
     if poly.dim != 2:
@@ -333,18 +346,22 @@ def reduce_2d(poly: Polytope, tol: float = 1e-9) -> Polytope:
     if gaps[widest] > np.pi - 1e-12:
         # Unbounded, unless the rows on both sides of a gap of pi are
         # opposite and leave no room between them.
-        if gaps[widest] < np.pi + 1e-12 and b[0] + b[-1] < -tol:
+        if gaps[widest] < np.pi + 1e-12 and b[0] + b[-1] < -_PAD:
             return EMPTY_2D
         return poly
-    exact = _polygon(A, b)
-    if exact is None:
-        loose = _polygon(A, b + tol)
-        return EMPTY_2D if loose is None else Polytope(poly.A, poly.b, loose[1])
-    lines, verts = exact
+    lines = _polygon(A, b)
+    verts = None if lines is None else _vertices(A, b, lines)
+    if verts is None or np.any(A @ verts.T > b[:, None] + _PAD):
+        # Empty, or rounding at a vertex that several lines pass through
+        # emptied the set or dropped a line it needs.  The padded rows
+        # separate those lines; they include every edge of the set, so
+        # they meet at its vertices at the unpadded rhs.
+        lines = _polygon(A, b + _PAD)
+        return EMPTY_2D if lines is None else Polytope(poly.A, poly.b, _vertices(A, b, lines))
     edges = np.hypot(*(verts - np.roll(verts, 1, axis=0)).T)
     if np.count_nonzero(edges >= 1e-12) < 3:
         return Polytope(poly.A, poly.b, verts)
-    return Polytope(A[lines], b[lines] + tol, verts)
+    return Polytope(A[lines], b[lines] + _PAD, verts)
 
 
 def bounding_box(poly: Polytope):

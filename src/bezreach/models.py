@@ -12,7 +12,7 @@ fixed-step integrator.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Iterator
 
 import numpy as np
@@ -135,15 +135,14 @@ def pendulum_energy_controller(
     gravity: float,
     u_pump: float,
     u_catch: float,
-    energy_gain: float = 6.0,
 ):
     """Low-torque swing-up policy used to seed planner waypoints.
 
-    Pumps energy toward the upright level with a proportional torque and
-    hands over to a gentle linear catch near the top.  Torque stays
-    within max(u_pump, u_catch), so the policy traces trajectories close
-    to the drift flow -- exactly the regime the drift-referenced
-    certificates can certify.
+    Pumps energy toward the upright level with a proportional torque
+    (gain 6) and hands over to a gentle linear catch near the top.
+    Torque stays within max(u_pump, u_catch), so the policy traces
+    trajectories close to the drift flow -- exactly the regime the
+    drift-referenced certificates can certify.
     """
     ml2 = mass * length**2
     mgl = mass * gravity * length
@@ -159,7 +158,7 @@ def pendulum_energy_controller(
             u = ml2 * (-gl * np.sin(theta) - 5.0 * dth - 3.5 * omega)
             return float(min(max(u, -u_catch), u_catch))
         s = np.sign(omega) if abs(omega) > 1e-3 else 1.0
-        return float(min(max(energy_gain * (e_top - energy) * s, -u_pump), u_pump))
+        return float(min(max(6.0 * (e_top - energy) * s, -u_pump), u_pump))
 
     return controller
 
@@ -174,7 +173,6 @@ class TrackingCertificate:
     lipschitz_pi: float
     lipschitz_psi: float
     lipschitz_k: float
-    k_ref_norm: Callable[[np.ndarray], float] = field(default=lambda x_ref: 0.0)
 
     def __post_init__(self):
         if self.e0 < 0 or self.lipschitz_e < 0:
@@ -223,8 +221,8 @@ class ConstraintSet:
     def polytope(self) -> lp.Polytope:
         return lp.Polytope(self.C, self.d)
 
-    def contains(self, x, tol: float = 1e-9) -> bool:
-        return self.polytope.contains(x, tol)
+    def contains(self, x) -> bool:
+        return self.polytope.contains(x, 1e-9)
 
     def effective_u_max(self) -> float:
         """Box input bound folded through the channel weights."""
@@ -244,10 +242,6 @@ class ConstraintSet:
                 bound.flags.writeable = False
             object.__setattr__(self, "_box", box)
         return box
-
-    def is_compact(self) -> bool:
-        lo, hi = self.bounding_box()
-        return bool(np.all(np.isfinite(lo)) and np.all(np.isfinite(hi)))
 
 
 def validate_lipschitz(

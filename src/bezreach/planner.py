@@ -71,19 +71,19 @@ def controlled_waypoints(
     hop: float,
     max_hops: int,
     stop=None,
-    dt: float = 1e-3,
 ) -> np.ndarray:
     """Waypoints from rolling out u = controller(x) under the planning
-    model, one waypoint per `hop` seconds (RK4, fixed step).
+    model, one waypoint per `hop` seconds (RK4, fixed 1 ms step).
 
     Seeding graph vertices with waypoints of a coarse policy keeps the
     sampled graph connected when the certified tubes are narrow; the
     edges between them are still certificate-checked like any others.
     `stop(x)` truthy ends the rollout early.
     """
+    dt = 1e-3
     steps = int(round(hop / dt))
     if steps < 1:
-        raise ValueError("hop must exceed dt")
+        raise ValueError("hop must exceed the 1 ms step")
 
     def f(x, j):
         return model.state_derivative(x, np.atleast_1d(controller(x)))
@@ -229,7 +229,6 @@ class PlannedTrajectory:
 
     segments: list[BezierCurve]
     gamma: int
-    junction_tol: float = 1e-8
     _state_mats: list[np.ndarray] = field(init=False, repr=False)
     _qgamma_pts: list[np.ndarray] = field(init=False, repr=False)
 
@@ -241,7 +240,7 @@ class PlannedTrajectory:
             self._state_mats.append(state_matrix(seg.points, self.gamma, seg.duration))
             self._qgamma_pts.append(seg.points @ np.linalg.matrix_power(H, self.gamma))
         for Pa, Pb in zip(self._state_mats, self._state_mats[1:]):
-            if np.max(np.abs(Pa[:, -1] - Pb[:, 0])) > self.junction_tol:
+            if np.max(np.abs(Pa[:, -1] - Pb[:, 0])) > 1e-8:
                 raise ValueError("segments are not C^(gamma-1) continuous")
 
     @property
@@ -330,12 +329,11 @@ def extract_trajectory(graph: ReachGraph, path: list[int]) -> PlannedTrajectory:
         vj = graph.vertices[j]
         first = spec.curve_between(vi, w)
         second = spec.curve_between(w, vj)
-        # LP witnesses sit on polytope boundaries, so allow solver-scale slack.
-        if not spec.certificate(vi, "forward").accepts(first.points, tol=1e-6):
+        if not spec.certificate(vi, "forward").accepts(first.points, tol=0.0):
             raise InternalInconsistencyError(
                 f"edge ({i}, {j}): outbound segment fails its certificate"
             )
-        if not spec.certificate(vj, "backward").accepts(second.points, tol=1e-6):
+        if not spec.certificate(vj, "backward").accepts(second.points, tol=0.0):
             raise InternalInconsistencyError(
                 f"edge ({i}, {j}): inbound segment fails its certificate"
             )

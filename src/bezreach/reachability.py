@@ -113,10 +113,7 @@ class ReachSpec:
         `certificate_for` per new anchor."""
         anchors = np.atleast_2d(np.asarray(anchors, dtype=float))
         drift = self.reference_policy == "drift"
-        keys = [
-            (self.reference_policy, direction if drift else "", a.tobytes() if drift else b"")
-            for a in anchors
-        ]
+        keys = [(direction, a.tobytes()) if drift else None for a in anchors]
         new = {key: a for key, a in zip(keys, anchors) if key not in self._cache}
         if new:
             refs = self.references(np.array(list(new.values())), direction)
@@ -131,22 +128,21 @@ class ReachSpec:
 
     def forward_polytope(self, x0: np.ndarray) -> lp.Polytope:
         """Halfspace set over terminal states reachable from x0."""
-        x0 = np.asarray(x0, dtype=float).reshape(-1)
-        cert = self.certificate(x0, "forward")
-        FD = cert.F @ self._D_pinv
-        A = FD[:, self.n :]
-        b = cert.G - FD[:, : self.n] @ x0
-        poly = lp.Polytope(A, b)
-        return lp.reduce_2d(poly) if self.n == 2 else poly
+        return self._polytope(x0, "forward")
 
     def backward_polytope(self, xT: np.ndarray) -> lp.Polytope:
         """Halfspace set over initial states that can reach xT."""
-        xT = np.asarray(xT, dtype=float).reshape(-1)
-        cert = self.certificate(xT, "backward")
+        return self._polytope(xT, "backward")
+
+    def _polytope(self, anchor: np.ndarray, direction: str) -> lp.Polytope:
+        """F D^+ [x0; xT] <= G with the anchor's end fixed: the set over the
+        free end, reduced to its polygon in 2-D."""
+        anchor = np.asarray(anchor, dtype=float).reshape(-1)
+        cert = self.certificate(anchor, direction)
         FD = cert.F @ self._D_pinv
-        A = FD[:, : self.n]
-        b = cert.G - FD[:, self.n :] @ xT
-        poly = lp.Polytope(A, b)
+        head, tail = FD[:, : self.n], FD[:, self.n :]
+        fixed, free = (head, tail) if direction == "forward" else (tail, head)
+        poly = lp.Polytope(free, cert.G - fixed @ anchor)
         return lp.reduce_2d(poly) if self.n == 2 else poly
 
     def curve_between(self, x0: np.ndarray, xT: np.ndarray) -> BezierCurve:
@@ -155,12 +151,12 @@ class ReachSpec:
         return BezierCurve(self.horizon, pts)
 
 
-def sample_cloud(poly: lp.Polytope, count: int, seed: int = 0, max_draws: int = 200_000):
+def sample_cloud(poly: lp.Polytope, count: int, seed: int = 0):
     """Rejection-sampled interior points, plus the box used for sampling.
 
     Returns (points, accept_ratio); points may be fewer than `count` if
-    the polytope is thin.  The accept ratio times the box volume is a
-    Monte-Carlo volume estimate.
+    the polytope is thin, as sampling stops after 200,000 draws.  The
+    accept ratio times the box volume is a Monte-Carlo volume estimate.
     """
     box = lp.bounding_box(poly)
     if box is None:
@@ -172,7 +168,7 @@ def sample_cloud(poly: lp.Polytope, count: int, seed: int = 0, max_draws: int = 
     pts = []
     draws = 0
     batch = max(1024, count)
-    while len(pts) < count and draws < max_draws:
+    while len(pts) < count and draws < 200_000:
         xs = rng.uniform(lo, hi, size=(batch, poly.dim))
         draws += batch
         ok = np.all(poly.A @ xs.T <= poly.b[:, None] + 1e-9, axis=0)

@@ -253,15 +253,6 @@ def test_boundary_rank_loss_raises_typed_error(monkeypatch):
         boundary_matrix(3, 2, 1.0)
 
 
-def test_boundary_regularizer_reproduces_min_norm():
-    D = boundary_matrix(5, 2, 1.0)
-    x0 = np.array([0.3, -0.2])
-    xT = np.array([-0.1, 0.5])
-    plain = solve_boundary(D, x0, xT)
-    reg = solve_boundary(D, x0, xT, regularizer=np.eye(6))
-    assert np.allclose(plain, reg, atol=1e-8)
-
-
 # -- vectorization ---------------------------------------------------------
 
 
@@ -334,11 +325,3 @@ def test_vectorization_identities_random_draws():
         assert np.max(np.abs(maps.H_vec @ vec - X.reshape(-1, order="F"))) <= 1e-10
         D = boundary_matrix(p, gamma, T)
         assert np.max(np.abs(maps.D_vec @ vec - (P @ D).reshape(-1, order="F"))) <= 1e-10
-
-
-def test_curve_json_round_trip():
-    rng = np.random.default_rng(13)
-    curve = random_curve(rng, 2, 3, 1.1)
-    back = BezierCurve.from_json(curve.to_json())
-    assert back.duration == curve.duration
-    assert np.array_equal(back.points, curve.points)

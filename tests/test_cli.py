@@ -123,7 +123,13 @@ def test_reach_emits_cloud_and_svg(tmp_path):
     assert cloud[0] == "x0,x1"
     assert len([l for l in cloud[1:] if l]) == 50
     assert (out / "cloud.svg").read_text().startswith("<svg")
-    assert (out / "polytope.txt").exists()
+    # One "a_1 ... a_n <= b" line per row of the forward set, in 17 digits.
+    model = cli.build_model(doc)
+    spec = cli.build_spec(doc, model, cli.build_certificate(doc), cli.build_constraints(doc))
+    poly = spec.forward_polytope(np.array([np.pi, 0.0]))
+    rows = [line.split(" <= ") for line in (out / "polytope.txt").read_text().splitlines()]
+    assert np.array_equal([[float(v) for v in a.split()] for a, _ in rows], poly.A)
+    assert np.array_equal([float(b) for _, b in rows], poly.b)
 
 
 def test_reach_empty_set_is_success(tmp_path):
@@ -226,6 +232,36 @@ def test_simulate_round_trip(tmp_path):
     summary = json.loads((out / "summary.json").read_text())
     assert summary["monitor_passed"] is True
     assert (out / "rollout.csv").exists()
+
+
+def test_plan_reads_disturbance_scale(tmp_path):
+    # `plan` reads the same `sim` keys as `simulate`, disturbance_scale
+    # included: a 50x worst-case disturbance of e0 = 0.01 takes 0.49 more
+    # off both margins than the 1x one.
+    margins = []
+    for sim in ({"disturbance": "worst"}, {"disturbance": "worst", "disturbance_scale": 50}):
+        doc = json.loads(json.dumps(INTEGRATOR_PLAN))
+        doc["sim"] = sim
+        out = tmp_path / f"o{len(margins)}"
+        assert cli.main(["plan", "--config", write_config(tmp_path, doc), "--out", str(out)]) == 0
+        summary = json.loads((out / "summary.json").read_text())
+        margins.append([summary["min_state_margin"], summary["min_input_margin"]])
+    assert np.allclose(np.subtract(*margins), 0.49, rtol=0.0, atol=1e-12)
+
+
+@pytest.mark.parametrize("command", ["plan", "simulate"])
+def test_non_numeric_sim_dt_is_a_config_error(tmp_path, capsys, command):
+    doc = json.loads(json.dumps(INTEGRATOR_PLAN))
+    doc["sim"] = {"dt": "fast"}
+    if command == "simulate":
+        pts = solve_boundary(boundary_matrix(3, 2, 1.0), np.zeros(2), np.zeros(2))
+        traj_path = tmp_path / "traj.json"
+        traj_path.write_text(json.dumps({"gamma": 2, "segments": [
+            {"order": 3, "duration": 1.0, "points": pts.tolist()}]}))
+        doc["sim"]["trajectory"] = str(traj_path)
+    cfg = write_config(tmp_path, doc)
+    assert cli.main([command, "--config", cfg, "--out", str(tmp_path / "o")]) == 2
+    assert "sim.dt" in capsys.readouterr().err
 
 
 def test_seed_flag_overrides_config(tmp_path):

@@ -21,6 +21,7 @@ from bezreach.constraints import (
     _expand_norm_row,
     _level_set_radius,
     _psd_projection_2x2,
+    default_q_gamma_bound,
     input_bound_row,
     lift_rows,
     refined_polytope,
@@ -63,12 +64,11 @@ def test_input_row_exact_tracking_a3():
 
 def test_input_row_formula_oracle():
     # L_k=2, L_psi=0.5, L_e=0.1, u_max=5, K=1: a2=3, a3=2.2, b=4.
-    cert = TrackingCertificate(0.5, 0.1, 1.0, 0.5, 2.0,
-                               k_ref_norm=lambda x: 0.0)
+    cert = TrackingCertificate(0.5, 0.1, 1.0, 0.5, 2.0)
     row = input_bound_row(cert, np.zeros(2), u_max=5.0)
     assert np.isclose(row.a2, 3.0)
     assert np.isclose(row.a3, 2.2)
-    # K = ||k_ref|| + max(1, L_k) e0 = 2 * 0.5 = 1.
+    # K = max(1, L_k) e0 = 2 * 0.5 = 1.
     assert np.isclose(row.b, 4.0)
 
 
@@ -332,7 +332,7 @@ def test_lift_infeasible_box_raises():
 def test_sigma_box_positive_and_finite():
     model = pendulum_model(0.5, 1.0, 9.81)
     cs = box_constraints([-1, -2], [1, 2], 3.0)
-    s = sigma_box(model, cs, np.zeros(2))
+    s = sigma_box(model, cs, np.zeros(2), default_q_gamma_bound(model, cs))
     assert s.shape == (2,)
     assert np.all(s > 0) and np.all(np.isfinite(s))
 
@@ -507,15 +507,3 @@ def test_refinement_reduces_conservatism_on_swing():
     P = solve_boundary(D, x0, xT)
     assert fine.certificate(x0, "forward").accepts(P)
     assert not coarse.certificate(x0, "forward").accepts(P)
-
-
-def test_halfspace_text_round_trip_values():
-    lifted = make_pendulum_lift(np.zeros(2))
-    cert = refined_polytope([lifted], 3, 1.0, 2, 1)
-    text = cert.to_halfspace_text()
-    lines = text.strip().split("\n")
-    assert len(lines) == cert.F.shape[0]
-    first = lines[0].split("<=")
-    coeffs = np.array([float(v) for v in first[0].split()])
-    assert np.allclose(coeffs, cert.F[0])
-    assert np.isclose(float(first[1]), cert.G[0])

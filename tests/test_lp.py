@@ -514,6 +514,48 @@ def test_degenerate_family_terminates_and_matches_linprog(monkeypatch, linprog, 
     assert calls, "the Bland fallback never ran"
 
 
+def test_vertices_equal_scalar_meet():
+    """`_vertices` is bit-identical to placing each vertex on the first of
+    its two lines one pair at a time."""
+    rng = np.random.default_rng(5)
+    for rows in (3, 8, 40):
+        A = unit_rows(np.sort(rng.uniform(-np.pi, np.pi, rows)))
+        b = rng.uniform(-1.0, 3.0, rows)
+        lines = sorted(rng.choice(rows, size=min(rows, 12), replace=False).tolist())
+        expected = []
+        for i, j in zip(lines, lines[1:] + lines[:1]):
+            (xi, yi), (xj, yj) = A[i].tolist(), A[j].tolist()
+            t = (b[j] - b[i] * (xi * xj + yi * yj)) / (xi * yj - yi * xj)
+            expected.append([b[i] * xi - t * yi, b[i] * yi + t * xi])
+        assert np.array_equal(lp._vertices(A, b, lines), expected)
+
+
+def test_reduce_2d_degenerate_vertices_keep_the_set(linprog):
+    """Several rows through one point, where rounding alone decides which
+    of them is redundant (some draws are the point alone): the polygon's
+    vertices satisfy every input row, and the box read off them matches
+    the oracle's, so no line the set needs was dropped."""
+    free = [(None, None)] * 2
+    checked = 0
+    for seed in range(400):
+        rng = np.random.default_rng(seed)
+        for _ in range(3):
+            poly = random_polytope_nd(rng, 2, 9, kind=2)
+            verts = lp.reduce_2d(poly).vertices
+            if verts is not None:
+                assert np.all(poly.A @ verts.T <= poly.b[:, None] + 1e-9), seed
+            refs = [linprog(-c, A_ub=poly.A, b_ub=poly.b, bounds=free, method="highs")
+                    for c in np.vstack([np.eye(2), -np.eye(2)])]
+            box = lp.bounding_box(poly)
+            if any(r.status == 2 for r in refs):
+                assert box is None, seed
+            elif all(r.status == 0 for r in refs):
+                hi, lo = -np.array([r.fun for r in refs[:2]]), np.array([r.fun for r in refs[2:]])
+                assert np.allclose(box, [lo, hi], rtol=0.0, atol=1e-7), seed
+                checked += 1
+    assert checked >= 300, checked
+
+
 # -- reduce_2d against SciPy's half-space intersection ---------------------
 
 

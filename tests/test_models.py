@@ -313,12 +313,6 @@ def test_effective_u_max_with_weights():
     assert np.isclose(cs.effective_u_max(), 2.0)
 
 
-def test_constraint_set_compactness():
-    assert box_constraints([-1, -1], [1, 1], 1.0).is_compact()
-    half = ConstraintSet(np.array([[1.0, 0.0]]), np.array([1.0]), u_max=1.0)
-    assert not half.is_compact()
-
-
 # -- energy controller -----------------------------------------------------
 
 

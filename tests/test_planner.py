@@ -241,6 +241,35 @@ def test_lp_tier_witnesses_leave_certificate_slack(monkeypatch):
     assert sum(checked) >= 20 and not all(checked), checked
 
 
+def test_every_stored_edge_leaves_certificate_slack():
+    """`extract_trajectory` accepts a curve only if it meets its
+    certificate without tolerance, so both curves of every stored edge
+    must have min(G - F vec(p)) >= 0: on every graph these tests build,
+    whichever tier found the witness."""
+    cases = [(integrator_spec(), np.array(v)) for v in
+             ([[0.0, 0.0]], [[0.1, 0.0]], [[0.1, 0.0], [-0.1, 0.0]], [[0.2, 0.0], [-0.2, 0.0]])]
+    for half, count, seed in ((0.5, 8, 10), (0.5, 10, 13), (0.4, 6, 15)):
+        cases.append((integrator_spec(),
+                      sample_vertices((-half * np.ones(2), half * np.ones(2)), count, seed=seed)))
+    for u_max in (0.3, 0.7, 1.5, 3.0):
+        cases.append((integrator_spec(u_max),
+                      sample_vertices((-0.8 * np.ones(2), 0.8 * np.ones(2)), 15, seed=11)))
+    cases += [(dint4d_spec(), dint4d_vertices(seed)) for seed in range(3)]
+    cases.append(small_drift_graph_case())
+    edges = 0
+    for spec, verts in cases:
+        graph = build_graph(verts, spec)
+        for (i, j), w in graph.edges.items():
+            for cert, curve in ((spec.certificate(verts[i], "forward"),
+                                 spec.curve_between(verts[i], w)),
+                                (spec.certificate(verts[j], "backward"),
+                                 spec.curve_between(w, verts[j]))):
+                vec = curve.points.reshape(-1, order="F")
+                assert np.min(cert.G - cert.F @ vec) >= 0.0, (i, j)
+        edges += len(graph.edges)
+    assert edges >= 300, edges
+
+
 # -- search ------------------------------------------------------------------
 
 
