@@ -103,14 +103,16 @@ def _vector(cfg, path, default=_SENTINEL):
     return arr
 
 
+def _pendulum_params(cfg: dict) -> tuple[float, float, float]:
+    """(mass, length, gravity) of a pendulum `model` block."""
+    return (_number(cfg, "model.mass"), _number(cfg, "model.length"),
+            _number(cfg, "model.gravity", 9.81))
+
+
 def build_model(cfg: dict):
     kind = _get(cfg, "model.kind", str)
     if kind == "pendulum":
-        return pendulum_model(
-            _number(cfg, "model.mass"),
-            _number(cfg, "model.length"),
-            _number(cfg, "model.gravity", 9.81),
-        )
+        return pendulum_model(*_pendulum_params(cfg))
     if kind == "integrator":
         return integrator_chain(
             int(_number(cfg, "model.gamma")), int(_number(cfg, "model.m"))
@@ -277,10 +279,11 @@ def _planner_vertices(cfg: dict, model, seed: int):
     if wp_cfg is not None:
         kind = _get(cfg, "planner.waypoints.kind", str)
         if kind == "pendulum-energy":
+            if model.name != "pendulum":
+                raise ConfigError("planner.waypoints.kind",
+                                  "pendulum-energy waypoints need model.kind 'pendulum'")
             ctrl = pendulum_energy_controller(
-                _number(cfg, "model.mass"),
-                _number(cfg, "model.length"),
-                _number(cfg, "model.gravity", 9.81),
+                *_pendulum_params(cfg),
                 u_pump=_number(cfg, "planner.waypoints.u_pump"),
                 u_catch=_number(cfg, "planner.waypoints.u_catch"),
             )

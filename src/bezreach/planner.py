@@ -2,7 +2,8 @@
 
 Vertices are uniform state samples; a directed edge (i, j) exists when
 the forward set of v_i intersects the backward set of v_j, with the
-intersection witness stored for trajectory extraction.  Paths come from
+intersection witness (a vertex in both sets, or the deepest point of the
+intersection) stored for trajectory extraction.  Paths come from
 uniform-cost search; every extracted segment is re-verified against its
 certificate polytope before being returned.
 """
@@ -121,12 +122,6 @@ class ReachGraph:
         }
 
 
-def _boxes_overlap(box_a, box_b) -> bool:
-    if box_a is None or box_b is None:
-        return False
-    return bool(np.all(box_a[0] <= box_b[1] + 1e-9) and np.all(box_b[0] <= box_a[1] + 1e-9))
-
-
 def _members(polys: list, points: np.ndarray, tol: float) -> np.ndarray:
     """(len(polys), K) flags: which of the points (K, n) each polytope
     contains, from one product over the rows of all polytopes."""
@@ -139,8 +134,10 @@ def _members(polys: list, points: np.ndarray, tol: float) -> np.ndarray:
 
 def build_graph(vertices: np.ndarray, spec: ReachSpec, seed: int = 0) -> ReachGraph:
     """All-pairs edge construction by the two-horizon witness test
-    F(v_i) n B(v_j) != {}.  Cheap vectorized witness candidates and
-    bounding-box separation cut the number of LP calls.
+    F(v_i) n B(v_j) != {}, in three passes: a vertex inside both sets is
+    the witness; pairs without one whose bounding boxes are disjoint have
+    no edge; every other pair goes to `lp.feasible`, whose deepest point
+    of the intersection is the witness.
     """
     vertices = np.atleast_2d(np.asarray(vertices, dtype=float))
     V = vertices.shape[0]
@@ -161,22 +158,14 @@ def build_graph(vertices: np.ndarray, spec: ReachSpec, seed: int = 0) -> ReachGr
         for j, hit in zip(js.tolist(), hits):
             edges[(i, j)] = vertices[hit].copy()
 
-    # Midpoint candidates for pairs without a vertex witness.
-    mid = 0.5 * (vertices[:, None, :] + vertices[None, :, :])
-    in_f = np.array([np.all(P.A @ mid[i].T <= P.b[:, None] + lp.TOL, axis=0)
-                     for i, P in enumerate(fwd)])
-    in_b = np.array([np.all(P.A @ mid[:, j].T <= P.b[:, None] + lp.TOL, axis=0)
-                     for j, P in enumerate(bwd)]).T
-    for i, j in np.argwhere(~has_common & in_f & in_b).tolist():
-        edges[(i, j)] = mid[i, j].copy()
-    still = np.argwhere(~has_common & ~(in_f & in_b)).tolist()
-
-    if still:
-        boxes_f = [lp.bounding_box(P) for P in fwd]
-        boxes_b = [lp.bounding_box(P) for P in bwd]
-        for i, j in still:
-            if not _boxes_overlap(boxes_f[i], boxes_b[j]):
-                continue
+    if not has_common.all():
+        # Stacked (lo, hi) boxes, forward sets first; an empty set's box
+        # (+inf, -inf) overlaps no bounded box.
+        empty = (np.full(vertices.shape[1], np.inf), np.full(vertices.shape[1], -np.inf))
+        lo, hi = np.array([lp.bounding_box(P) or empty for P in fwd + bwd]).transpose(1, 0, 2)
+        overlap = np.all((lo[:V, None] <= hi[None, V:] + 1e-9)
+                         & (lo[None, V:] <= hi[:V, None] + 1e-9), axis=2)
+        for i, j in np.argwhere(~has_common & overlap).tolist():
             w = lp.feasible(fwd[i].intersect(bwd[j]))
             if w is not None:
                 edges[(i, j)] = w

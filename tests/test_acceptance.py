@@ -302,12 +302,22 @@ def test_swing_up_plans_pass_and_tighter_torque_needs_more_edges():
     )
     i_start, i_goal = 200, verts.shape[0] - 1
 
-    path_edges = {}
+    path_edges, edge_counts = {}, {}
     for u_max in (5.0, 0.5):
         cs = ConstraintSet(BOX_C, PEND_D, u_max=u_max)
         spec = ReachSpec(model, cert, cs, order=3, horizon=T, refinement=10,
                          reference_policy="drift", q_gamma_bound=70.0)
         graph = planner.build_graph(verts, spec, seed=11)
+        edge_counts[u_max] = len(graph.edges)
+        # Both curves of every stored edge meet their certificates with
+        # slack >= 0, as `extract_trajectory` requires of a path edge.
+        for (i, j), w in graph.edges.items():
+            for cert_poly, curve in ((spec.certificate(verts[i], "forward"),
+                                      spec.curve_between(verts[i], w)),
+                                     (spec.certificate(verts[j], "backward"),
+                                      spec.curve_between(w, verts[j]))):
+                vec = curve.points.reshape(-1, order="F")
+                assert np.min(cert_poly.G - cert_poly.F @ vec) >= 0.0, (u_max, i, j)
         path = planner.search(graph, i_start, i_goal)
         traj = planner.extract_trajectory(graph, path)
         # The drift policy under disturbance, not only undisturbed.
@@ -315,6 +325,8 @@ def test_swing_up_plans_pass_and_tighter_torque_needs_more_edges():
             res = sim.rollout(model, traj, cs, cert, disturbance=policy, seed=1)
             assert sim.monitor(res, cs).passed, (u_max, policy)
         path_edges[u_max] = len(path) - 1
+    # The edge sets themselves: a change that moves them fails here.
+    assert edge_counts == {5.0: 2813, 0.5: 138}, edge_counts
     assert path_edges[0.5] > path_edges[5.0]
     # Path cost is edge count times 2T, so cost is nonincreasing in u_max.
     assert path_edges[5.0] * 2 * T <= path_edges[0.5] * 2 * T

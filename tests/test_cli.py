@@ -205,6 +205,15 @@ def test_plan_edge_rule_is_a_config_error(tmp_path, capsys):
     assert "planner.edge_rule" in capsys.readouterr().err
 
 
+def test_pendulum_energy_waypoints_need_a_pendulum_model(tmp_path, capsys):
+    doc = json.loads(json.dumps(INTEGRATOR_PLAN))
+    doc["planner"]["waypoints"] = {"kind": "pendulum-energy", "u_pump": 0.04,
+                                   "u_catch": 0.15}
+    cfg = write_config(tmp_path, doc)
+    assert cli.main(["plan", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
+    assert "planner.waypoints.kind" in capsys.readouterr().err
+
+
 def test_plan_edge_reverification_failure_exit_4(tmp_path, monkeypatch, capsys):
     monkeypatch.setattr(CertificatePolytope, "accepts", lambda self, *a, **k: False)
     cfg = write_config(tmp_path, INTEGRATOR_PLAN)

@@ -155,21 +155,26 @@ def recording_feasible(monkeypatch):
     return results
 
 
+def assert_edges_match_oracle(spec, verts, graph, max_margin):
+    """For every pair with |margin| > 1e-6, (i, j) is an edge exactly when
+    F(v_i) n B(v_j) has interior; every witness lies in both sets."""
+    fwd = [spec.forward_polytope(v) for v in verts]
+    bwd = [spec.backward_polytope(v) for v in verts]
+    for i, j in itertools.product(range(len(verts)), repeat=2):
+        both = fwd[i].intersect(bwd[j])
+        margin = max_margin(both.A, both.b)
+        if abs(margin) > 1e-6:
+            assert ((i, j) in graph.edges) == (margin > 0), (i, j, margin)
+    for (i, j), w in graph.edges.items():
+        assert fwd[i].contains(w, tol=1e-7) and bwd[j].contains(w, tol=1e-7)
+
+
 def test_4d_graph_matches_linprog_oracle(monkeypatch, max_margin):
     spec = dint4d_spec()
     results = recording_feasible(monkeypatch)
     for seed in range(3):
         verts = dint4d_vertices(seed)
-        graph = build_graph(verts, spec)
-        fwd = [spec.forward_polytope(v) for v in verts]
-        bwd = [spec.backward_polytope(v) for v in verts]
-        for i, j in itertools.product(range(6), repeat=2):
-            both = fwd[i].intersect(bwd[j])
-            margin = max_margin(both.A, both.b)
-            if abs(margin) > 1e-6:
-                assert ((i, j) in graph.edges) == (margin > 0), (seed, i, j, margin)
-        for (i, j), w in graph.edges.items():
-            assert fwd[i].contains(w, tol=1e-7) and bwd[j].contains(w, tol=1e-7)
+        assert_edges_match_oracle(spec, verts, build_graph(verts, spec), max_margin)
     # The LP tier decided some pairs each way.
     verdicts = [w is not None for w in results]
     assert any(verdicts) and not all(verdicts)
@@ -217,6 +222,38 @@ def small_drift_graph_case():
     return spec, verts
 
 
+def monotone_case(u_max):
+    """One of the integrator graphs of `test_edge_set_monotone_in_u_max`."""
+    return integrator_spec(u_max), sample_vertices((-0.8 * np.ones(2), 0.8 * np.ones(2)),
+                                                   15, seed=11)
+
+
+@pytest.mark.parametrize("u_max", [0.3, 0.7, 1.5, 3.0, pytest.param(None, id="drift")])
+def test_2d_graph_matches_linprog_oracle(u_max, max_margin):
+    if u_max is None:
+        # The drift graph plus one vertex outside C_X: its forward and
+        # backward sets are empty, so their boxes reach the overlap mask.
+        spec, verts = small_drift_graph_case()
+        verts = np.vstack([verts, [2 * np.pi + 2.0, 0.0]])
+        assert lp.bounding_box(spec.forward_polytope(verts[-1])) is None
+        assert lp.bounding_box(spec.backward_polytope(verts[-1])) is None
+    else:
+        spec, verts = monotone_case(u_max)
+    assert_edges_match_oracle(spec, verts, build_graph(verts, spec), max_margin)
+
+
+def test_every_witness_is_a_vertex_or_an_lp_result(monkeypatch):
+    """A stored witness is a vertex or the very point `lp.feasible`
+    returned for that pair: no third source of witnesses."""
+    results = recording_feasible(monkeypatch)
+    for spec, verts in (monotone_case(1.5), monotone_case(3.0), small_drift_graph_case()):
+        results.clear()
+        graph = build_graph(verts, spec)
+        for (i, j), w in graph.edges.items():
+            is_vertex = np.any(np.all(verts == w, axis=1))
+            assert is_vertex or any(w is r for r in results), (i, j)
+
+
 def test_lp_tier_witnesses_leave_certificate_slack(monkeypatch):
     """An LP-tier witness is the deepest point of F(v_i) n B(v_j), so both
     of its curves meet their certificates with slack >= 0."""
@@ -230,7 +267,7 @@ def test_lp_tier_witnesses_leave_certificate_slack(monkeypatch):
         graph = build_graph(verts, spec)
         for (i, j), w in graph.edges.items():
             if not any(w is r for r in results):
-                continue  # a vertex or midpoint witness
+                continue  # a vertex witness
             for cert, curve in ((spec.certificate(verts[i], "forward"),
                                  spec.curve_between(verts[i], w)),
                                 (spec.certificate(verts[j], "backward"),
@@ -251,9 +288,7 @@ def test_every_stored_edge_leaves_certificate_slack():
     for half, count, seed in ((0.5, 8, 10), (0.5, 10, 13), (0.4, 6, 15)):
         cases.append((integrator_spec(),
                       sample_vertices((-half * np.ones(2), half * np.ones(2)), count, seed=seed)))
-    for u_max in (0.3, 0.7, 1.5, 3.0):
-        cases.append((integrator_spec(u_max),
-                      sample_vertices((-0.8 * np.ones(2), 0.8 * np.ones(2)), 15, seed=11)))
+    cases += [monotone_case(u_max) for u_max in (0.3, 0.7, 1.5, 3.0)]
     cases += [(dint4d_spec(), dint4d_vertices(seed)) for seed in range(3)]
     cases.append(small_drift_graph_case())
     edges = 0
