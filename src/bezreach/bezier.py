@@ -36,19 +36,6 @@ def _check_order(p: int) -> None:
         raise ValueError(f"order {p} exceeds supported maximum {MAX_ORDER}")
 
 
-def bernstein_basis(p: int, T: float, t: float) -> np.ndarray:
-    """Bernstein basis vector z(t) of degree p over [0, T]."""
-    _check_order(p)
-    if T <= 0:
-        raise ValueError(f"duration must be positive, got {T}")
-    if not 0 <= t <= T:
-        raise ValueError(f"t={t} outside [0, {T}]")
-    s = t / T
-    k = np.arange(p + 1)
-    comb = np.array([math.comb(p, int(i)) for i in k], dtype=float)
-    return comb * s**k * (1.0 - s) ** (p - k)
-
-
 def basis_matrix(p: int, T: float, ts) -> np.ndarray:
     """Bernstein basis at many times: column j is z(ts[j])."""
     _check_order(p)
@@ -84,9 +71,6 @@ class BezierCurve:
     @property
     def dim(self) -> int:
         return self.points.shape[0]
-
-    def eval(self, t: float) -> np.ndarray:
-        return self.points @ bernstein_basis(self.order, self.duration, t)
 
     def eval_grid(self, ts: np.ndarray) -> np.ndarray:
         """Curve values at many times, one column per time."""

@@ -19,7 +19,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import artifacts
+from . import artifacts, lp
 from .bezier import (
     BoundaryRankError,
     boundary_matrix,
@@ -263,7 +263,7 @@ def cmd_reach(cfg: dict, out: Path, seed: int) -> int:
         files.append("cloud.svg")
     _finish(
         out, cfg, "reach", seed, files, t0,
-        extra={"empty": bool(pts.shape[0] == 0), "accept_ratio": ratio},
+        extra={"empty": lp.bounding_box(poly) is None, "accept_ratio": ratio},
     )
     return EXIT_OK
 
@@ -374,7 +374,10 @@ def cmd_simulate(cfg: dict, out: Path, seed: int) -> int:
         doc = json.loads(Path(traj_path).read_text())
     except (OSError, json.JSONDecodeError) as exc:
         raise ConfigError("sim.trajectory", f"cannot load trajectory: {exc}") from exc
-    traj = PlannedTrajectory.from_json_dict(doc)
+    try:
+        traj = PlannedTrajectory.from_json_dict(doc)
+    except (KeyError, TypeError, ValueError) as exc:
+        raise ConfigError("sim.trajectory", f"malformed trajectory: {exc!r}") from exc
     res = _rollout(cfg, model, traj, cs, cert, seed)
     report = monitor(res, cs)
     files = ["rollout.csv", "summary.json"]

@@ -3,14 +3,14 @@
 Vertices are uniform state samples; a directed edge (i, j) exists when
 the forward set of v_i intersects the backward set of v_j, with the
 intersection witness (a vertex in both sets, or the deepest point of the
-intersection) stored for trajectory extraction.  Paths come from
-uniform-cost search; every extracted segment is re-verified against its
-certificate polytope before being returned.
+intersection) stored for trajectory extraction.  Every edge costs the
+same two horizons, so paths come from breadth-first search (fewest
+edges); every extracted segment is re-verified against its certificate
+polytope before being returned.
 """
 
 from __future__ import annotations
 
-import heapq
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -19,7 +19,6 @@ from . import lp
 from .bezier import (
     BezierCurve,
     basis_matrix,
-    bernstein_basis,
     derivative_map,
     state_matrix,
 )
@@ -106,10 +105,6 @@ class ReachGraph:
     seed: int
     spec: ReachSpec
 
-    @property
-    def edge_cost(self) -> float:
-        return 2.0 * self.spec.horizon
-
     def to_json_dict(self) -> dict:
         return {
             "seed": self.seed,
@@ -173,43 +168,35 @@ def build_graph(vertices: np.ndarray, spec: ReachSpec, seed: int = 0) -> ReachGr
 
 
 def search(graph: ReachGraph, start: int, goal: int) -> list[int]:
-    """Uniform-cost search; deterministic tie-break by vertex index."""
+    """Breadth-first search for a path of fewest edges.  Each level is
+    expanded in vertex order, so a vertex's parent is its lowest-index
+    predecessor on the level before."""
     V = graph.vertices.shape[0]
     if not (0 <= start < V and 0 <= goal < V):
         raise ValueError("start/goal must be vertex indices")
-    if start == goal:
-        return [start]
     adj: dict[int, list[int]] = {}
     for (i, j) in graph.edges:
-        if i != j:
-            adj.setdefault(i, []).append(j)
-    for v in adj:
-        adj[v].sort()
-    dist = {start: 0.0}
-    parent: dict[int, int] = {}
-    heap = [(0.0, start)]
-    done = set()
-    while heap:
-        d, u = heapq.heappop(heap)
-        if u in done:
-            continue
-        done.add(u)
-        if u == goal:
-            path = [goal]
-            while path[-1] != start:
-                path.append(parent[path[-1]])
-            return path[::-1]
-        for v in adj.get(u, []):
-            nd = d + graph.edge_cost
-            if v not in dist or nd < dist[v] - 1e-12:
-                dist[v] = nd
-                parent[v] = u
-                heapq.heappush(heap, (nd, v))
-    raise UnreachableGoalError(
-        f"goal vertex {goal} unreachable from {start} "
-        f"(connected component has {len(done)} vertices)",
-        component_size=len(done),
-    )
+        adj.setdefault(i, []).append(j)
+    parent = {start: start}
+    level = [start]
+    while level and goal not in parent:
+        reached = []
+        for u in level:
+            for v in adj.get(u, ()):
+                if v not in parent:
+                    parent[v] = u
+                    reached.append(v)
+        level = sorted(reached)
+    if goal not in parent:
+        raise UnreachableGoalError(
+            f"goal vertex {goal} unreachable from {start} "
+            f"(connected component has {len(parent)} vertices)",
+            component_size=len(parent),
+        )
+    path = [goal]
+    while path[-1] != start:
+        path.append(parent[path[-1]])
+    return path[::-1]
 
 
 @dataclass
@@ -236,34 +223,13 @@ class PlannedTrajectory:
     def total_duration(self) -> float:
         return sum(seg.duration for seg in self.segments)
 
-    def _locate(self, t: float) -> tuple[int, float]:
-        if not self.segments:
-            raise ValueError("empty trajectory")
-        acc = 0.0
-        for idx, seg in enumerate(self.segments):
-            if t <= acc + seg.duration or idx == len(self.segments) - 1:
-                return idx, min(max(t - acc, 0.0), seg.duration)
-            acc += seg.duration
-        raise AssertionError
-
-    def state(self, t: float) -> np.ndarray:
-        idx, tl = self._locate(t)
-        seg = self.segments[idx]
-        z = bernstein_basis(seg.order, seg.duration, tl)
-        return self._state_mats[idx] @ z
-
-    def q_gamma(self, t: float) -> np.ndarray:
-        idx, tl = self._locate(t)
-        seg = self.segments[idx]
-        z = bernstein_basis(seg.order, seg.duration, tl)
-        return self._qgamma_pts[idx] @ z
-
     def _sample(self, ts: np.ndarray, mats: list[np.ndarray]) -> np.ndarray:
         """Evaluate per-segment control matrices on many times at once."""
+        if not self.segments:
+            raise ValueError("empty trajectory")
         ts = np.asarray(ts, dtype=float).reshape(-1)
         ends = np.cumsum([seg.duration for seg in self.segments])
-        # side="left" assigns junction times to the earlier segment,
-        # matching the scalar state()/q_gamma() convention.
+        # side="left" assigns junction times to the earlier segment.
         idx = np.minimum(np.searchsorted(ends, ts, side="left"), len(self.segments) - 1)
         starts = ends - np.array([seg.duration for seg in self.segments])
         out = np.empty((mats[0].shape[0], ts.size))

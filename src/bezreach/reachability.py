@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import lp
-from .bezier import BezierCurve, boundary_matrix, solve_boundary, vectorization_maps
+from .bezier import BezierCurve, boundary_matrix, solve_boundary
 from .constraints import (
     CertificatePolytope,
     default_q_gamma_bound,
@@ -63,8 +63,7 @@ class ReachSpec:
         if self.q_gamma_bound is None:
             self.q_gamma_bound = default_q_gamma_bound(self.model, self.cs)
         self._D = boundary_matrix(self.order, self.model.gamma, self.horizon)
-        maps = vectorization_maps(self.order, self.model.gamma, self.model.m, self.horizon)
-        self._D_pinv = np.linalg.pinv(maps.D_vec)
+        self._D_pinv = np.linalg.pinv(np.kron(self._D.T, np.eye(self.model.m)))
 
     @property
     def n(self) -> int:

@@ -104,6 +104,9 @@ def rollout(
     seg_T = min(trajectory.segments, key=lambda seg: seg.duration).duration
     if dt is None:
         dt = seg_T / 500.0
+    # Written so that a NaN dt fails it too.
+    if not dt > 0.0:
+        raise ValueError(f"dt={dt} must be positive")
     if dt > seg_T / 200.0:
         raise ValueError(f"dt={dt} too coarse; need dt <= {seg_T / 200.0}")
     total = trajectory.total_duration

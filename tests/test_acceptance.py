@@ -16,7 +16,6 @@ from bezreach import cli, lp, planner, sim
 from bezreach.bezier import (
     BezierCurve,
     basis_matrix,
-    bernstein_basis,
     boundary_matrix,
     split_matrices,
     state_matrix,
@@ -59,16 +58,16 @@ def test_bezier_algebra_suite():
 
         # Partition of unity and endpoint interpolation.
         t = float(rng.uniform(0, T))
-        assert abs(np.sum(bernstein_basis(p, T, t)) - 1.0) <= 1e-12
-        assert np.allclose(curve.eval(0.0), curve.points[:, 0], atol=1e-12)
-        assert np.allclose(curve.eval(T), curve.points[:, -1], atol=1e-12)
+        assert abs(np.sum(basis_matrix(p, T, [t])) - 1.0) <= 1e-12
+        assert np.allclose(curve.eval_grid([0.0])[:, 0], curve.points[:, 0], atol=1e-12)
+        assert np.allclose(curve.eval_grid([T])[:, 0], curve.points[:, -1], atol=1e-12)
 
         # Derivative vs central finite difference, O(h^2) accurate.
         d = curve.derivative()
         tc = float(rng.uniform(0.3 * T, 0.7 * T))
         for h in (1e-3, 1e-4):
-            fd = (curve.eval(tc + h) - curve.eval(tc - h)) / (2 * h)
-            assert np.max(np.abs(fd - d.eval(tc))) <= 10.0 * h * h * (
+            fd = (curve.eval_grid([tc + h]) - curve.eval_grid([tc - h]))[:, 0] / (2 * h)
+            assert np.max(np.abs(fd - d.eval_grid([tc])[:, 0])) <= 10.0 * h * h * (
                 1.0 + np.max(np.abs(curve.points))
             ) * (p / T) ** 3 + 1e-9
 

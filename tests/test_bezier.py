@@ -10,7 +10,6 @@ from bezreach.bezier import (
     BoundaryRankError,
     InsufficientOrderError,
     basis_matrix,
-    bernstein_basis,
     boundary_matrix,
     derivative_map,
     diff_matrix,
@@ -27,17 +26,27 @@ def random_curve(rng, m, p, T):
     return BezierCurve(T, rng.normal(size=(m, p + 1)))
 
 
+def at(curve, t):
+    """The curve's value at one time."""
+    return curve.eval_grid([t])[:, 0]
+
+
+def basis_at(p, T, t):
+    """The basis vector z(t) at one time."""
+    return basis_matrix(p, T, [t])[:, 0]
+
+
 # -- basis -----------------------------------------------------------------
 
 
 def test_basis_endpoint_values():
-    assert np.allclose(bernstein_basis(2, 1.0, 0.0), [1.0, 0.0, 0.0])
-    assert np.allclose(bernstein_basis(2, 1.0, 1.0), [0.0, 0.0, 1.0])
+    assert np.allclose(basis_at(2, 1.0, 0.0), [1.0, 0.0, 0.0])
+    assert np.allclose(basis_at(2, 1.0, 1.0), [0.0, 0.0, 1.0])
 
 
 def test_basis_midpoint_binomial_oracle():
     # Direct binomial evaluation: comb(2,k) * 0.5^2.
-    assert np.allclose(bernstein_basis(2, 1.0, 0.5), [0.25, 0.5, 0.25])
+    assert np.allclose(basis_at(2, 1.0, 0.5), [0.25, 0.5, 0.25])
 
 
 def test_basis_partition_of_unity():
@@ -46,20 +55,24 @@ def test_basis_partition_of_unity():
         p = int(rng.integers(1, 11))
         T = float(rng.uniform(0.1, 5.0))
         t = float(rng.uniform(0.0, T))
-        assert abs(np.sum(bernstein_basis(p, T, t)) - 1.0) <= 1e-12
+        assert abs(np.sum(basis_at(p, T, t)) - 1.0) <= 1e-12
 
 
 def test_basis_matrix_matches_single_evaluations():
+    # Oracle: the binomial formula C(p, k) s^k (1 - s)^(p - k), s = t / T,
+    # one time and one k at a time.
     rng = np.random.default_rng(1)
     ts = rng.uniform(0.0, 2.0, size=17)
     Z = basis_matrix(4, 2.0, ts)
     for j, t in enumerate(ts):
-        assert np.allclose(Z[:, j], bernstein_basis(4, 2.0, float(t)))
+        s = float(t) / 2.0
+        z = [math.comb(4, k) * s**k * (1.0 - s) ** (4 - k) for k in range(5)]
+        assert np.allclose(Z[:, j], z)
 
 
 def test_basis_rejects_out_of_range_times():
     with pytest.raises(ValueError):
-        bernstein_basis(2, 1.0, 1.5)
+        basis_matrix(2, 1.0, [1.5])
     with pytest.raises(ValueError):
         basis_matrix(2, 1.0, [0.2, 1.5])
 
@@ -71,19 +84,19 @@ def test_constant_curve_evaluates_to_constant():
     c = np.array([[2.0], [-3.0]])
     curve = BezierCurve(1.5, np.tile(c, (1, 4)))
     for t in np.linspace(0, 1.5, 7):
-        assert np.allclose(curve.eval(float(t)), c.ravel())
+        assert np.allclose(at(curve, float(t)), c.ravel())
 
 
 def test_linear_curve_interpolates():
     curve = BezierCurve(1.0, np.array([[0.0, 1.0]]))
-    assert np.isclose(curve.eval(0.25)[0], 0.25)
+    assert np.isclose(at(curve, 0.25)[0], 0.25)
 
 
 def test_endpoint_interpolation():
     rng = np.random.default_rng(2)
     curve = random_curve(rng, 3, 5, 2.0)
-    assert np.allclose(curve.eval(0.0), curve.points[:, 0])
-    assert np.allclose(curve.eval(2.0), curve.points[:, -1])
+    assert np.allclose(at(curve, 0.0), curve.points[:, 0])
+    assert np.allclose(at(curve, 2.0), curve.points[:, -1])
 
 
 def test_convex_hull_property():
@@ -117,8 +130,8 @@ def test_derivative_finite_difference_oracle():
         d = curve.derivative()
         h = 1e-5
         for t in (0.3, 0.7, 1.0 - h):
-            fd = (curve.eval(t + h) - curve.eval(t - h)) / (2 * h)
-            assert np.allclose(d.eval(t), fd, atol=1e-6)
+            fd = (at(curve, t + h) - at(curve, t - h)) / (2 * h)
+            assert np.allclose(at(d, t), fd, atol=1e-6)
 
 
 def test_derivative_convergence_order():
@@ -129,8 +142,8 @@ def test_derivative_convergence_order():
     t = 0.4
     errs = []
     for h in (1e-3, 1e-4):
-        fd = (curve.eval(t + h) - curve.eval(t - h)) / (2 * h)
-        errs.append(float(np.abs(fd - d.eval(t))[0]))
+        fd = (at(curve, t + h) - at(curve, t - h)) / (2 * h)
+        errs.append(float(np.abs(fd - at(d, t))[0]))
     assert errs[1] <= errs[0] / 50.0 + 1e-13
 
 
@@ -195,7 +208,7 @@ def test_split_segments_match_original_pointwise():
         seg = BezierCurve(T, curve.points @ Q)
         for s in np.linspace(0, T, 11):
             t_orig = (i + s / T) * T / k
-            assert np.allclose(seg.eval(float(s)), curve.eval(float(t_orig)), atol=1e-9)
+            assert np.allclose(at(seg, float(s)), at(curve, float(t_orig)), atol=1e-9)
 
 
 # -- boundary interpolation ------------------------------------------------
@@ -223,10 +236,10 @@ def test_boundary_p5_residual():
     pts = solve_boundary(D, x0, xT)
     curve = BezierCurve(2.0, pts)
     d = curve.derivative()
-    assert np.allclose(curve.eval(0.0), x0[:1], atol=1e-9)
-    assert np.allclose(d.eval(0.0), x0[1:], atol=1e-9)
-    assert np.allclose(curve.eval(2.0), xT[:1], atol=1e-9)
-    assert np.allclose(d.eval(2.0), xT[1:], atol=1e-9)
+    assert np.allclose(at(curve, 0.0), x0[:1], atol=1e-9)
+    assert np.allclose(at(d, 0.0), x0[1:], atol=1e-9)
+    assert np.allclose(at(curve, 2.0), xT[:1], atol=1e-9)
+    assert np.allclose(at(d, 2.0), xT[1:], atol=1e-9)
 
 
 def test_boundary_constant_at_equilibrium():

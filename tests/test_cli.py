@@ -144,6 +144,16 @@ def test_reach_empty_set_is_success(tmp_path):
     assert meta["empty"] is True
 
 
+def test_reach_without_samples_reports_nonempty_set(tmp_path):
+    # The emptiness verdict comes from the set, not from the sample cloud.
+    doc = {key: INTEGRATOR_PLAN[key] for key in ("model", "certificate", "constraints", "curve")}
+    doc["reach"] = {"direction": "forward", "anchor": [0.0, 0.0], "samples": 0}
+    out = tmp_path / "out"
+    assert cli.main(["reach", "--config", write_config(tmp_path, doc), "--out", str(out)]) == 0
+    meta = json.loads((out / "metadata.json").read_text())
+    assert meta["empty"] is False
+
+
 def test_plan_goal_outside_constraints_exit_3(tmp_path, capsys):
     doc = dict(PENDULUM_BLOCKS)
     doc["seed"] = 0
@@ -260,17 +270,30 @@ def test_plan_reads_disturbance_scale(tmp_path):
 
 @pytest.mark.parametrize("command", ["plan", "simulate"])
 def test_non_numeric_sim_dt_is_a_config_error(tmp_path, capsys, command):
+    # A dt that is not a number, or not positive, exits 2 naming dt.
+    for dt, message in (("fast", "sim.dt"), (0, "dt=0"), (-0.001, "dt=-0.001")):
+        doc = json.loads(json.dumps(INTEGRATOR_PLAN))
+        doc["sim"] = {"dt": dt}
+        if command == "simulate":
+            pts = solve_boundary(boundary_matrix(3, 2, 1.0), np.zeros(2), np.zeros(2))
+            traj_path = tmp_path / "traj.json"
+            traj_path.write_text(json.dumps({"gamma": 2, "segments": [
+                {"order": 3, "duration": 1.0, "points": pts.tolist()}]}))
+            doc["sim"]["trajectory"] = str(traj_path)
+        cfg = write_config(tmp_path, doc)
+        assert cli.main([command, "--config", cfg, "--out", str(tmp_path / "o")]) == 2
+        assert message in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("traj_doc", [{"gamma": 2}, [1, 2]])
+def test_malformed_trajectory_is_a_config_error(tmp_path, capsys, traj_doc):
+    traj_path = tmp_path / "traj.json"
+    traj_path.write_text(json.dumps(traj_doc))
     doc = json.loads(json.dumps(INTEGRATOR_PLAN))
-    doc["sim"] = {"dt": "fast"}
-    if command == "simulate":
-        pts = solve_boundary(boundary_matrix(3, 2, 1.0), np.zeros(2), np.zeros(2))
-        traj_path = tmp_path / "traj.json"
-        traj_path.write_text(json.dumps({"gamma": 2, "segments": [
-            {"order": 3, "duration": 1.0, "points": pts.tolist()}]}))
-        doc["sim"]["trajectory"] = str(traj_path)
+    doc["sim"] = {"trajectory": str(traj_path)}
     cfg = write_config(tmp_path, doc)
-    assert cli.main([command, "--config", cfg, "--out", str(tmp_path / "o")]) == 2
-    assert "sim.dt" in capsys.readouterr().err
+    assert cli.main(["simulate", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
+    assert "sim.trajectory" in capsys.readouterr().err
 
 
 def test_seed_flag_overrides_config(tmp_path):

@@ -3,6 +3,8 @@
 import ast
 from pathlib import Path
 
+import bezreach
+
 SRC = Path(__file__).resolve().parents[1] / "src" / "bezreach"
 
 
@@ -67,3 +69,14 @@ def test_rollout_has_one_loop():
         node, (ast.ListComp, ast.SetComp, ast.DictComp, ast.GeneratorExp))]
     assert len(loops) == 1, f"sim.rollout loops at lines {loops}"
     assert not comps, f"sim.rollout comprehensions at lines {comps}"
+
+
+def test_exports_match_all():
+    # Every public name resolves, and the package imports exactly the
+    # names it exports, so deleting an API cannot leave a dangling export.
+    missing = [name for name in bezreach.__all__ if not hasattr(bezreach, name)]
+    assert not missing, f"__all__ names that do not resolve: {missing}"
+    tree = ast.parse((SRC / "__init__.py").read_text())
+    imported = [alias.asname or alias.name for node in ast.walk(tree)
+                if isinstance(node, ast.ImportFrom) for alias in node.names]
+    assert set(imported) == set(bezreach.__all__)

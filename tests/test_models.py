@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from bezreach.bezier import BezierCurve, derivative_map, state_matrix
+from bezreach.bezier import BezierCurve, basis_matrix, derivative_map, state_matrix
 from bezreach.constraints import default_q_gamma_bound
 from bezreach.models import (
     ConstraintSet,
@@ -265,9 +265,7 @@ def test_dynamic_feasibility_of_flat_input():
     X = state_matrix(curve.points, 2, 1.0)
     q2 = curve.points @ H @ H
     for t in np.linspace(0, 1, 50):
-        from bezreach.bezier import bernstein_basis
-
-        z = bernstein_basis(5, 1.0, float(t))
+        z = basis_matrix(5, 1.0, [float(t)])[:, 0]
         x = X @ z
         q = q2 @ z
         u = flat_input(model, x, q)

@@ -1,5 +1,6 @@
 """Graph construction, search, and certified trajectory extraction."""
 
+import heapq
 import itertools
 
 import numpy as np
@@ -308,8 +309,8 @@ def test_every_stored_edge_leaves_certificate_slack():
 # -- search ------------------------------------------------------------------
 
 
-def make_graph(num, edges, cost_T=1.0):
-    spec = integrator_spec()
+def make_graph(num, edges, spec=None):
+    spec = integrator_spec() if spec is None else spec
     verts = np.zeros((num, 2))
     return ReachGraph(verts, {e: np.zeros(2) for e in edges}, seed=0, spec=spec)
 
@@ -331,19 +332,20 @@ def test_search_unreachable_reports_component():
     assert exc.value.component_size == 2
 
 
-def hop_count_cost(edges, num, start, goal, cost):
-    """Exact shortest-path cost: the fewest hops h <= num + 1 for which
+def fewest_hops(edges, num, start, goal):
+    """Exact shortest-path length: the fewest hops h <= num + 1 for which
     A^h counts a walk from start to goal (at most 8^9 walks, no overflow)."""
     A = np.zeros((num, num), dtype=np.int64)
     for a, b in edges:
         A[a, b] = 1
     for hops in range(1, num + 2):
         if np.linalg.matrix_power(A, hops)[start, goal] > 0:
-            return cost * hops
+            return hops
     return None
 
 
-def test_search_matches_brute_force_small_graphs():
+def small_graphs():
+    """30 random graphs of 3-8 vertices as (num, edges), start 0, goal num - 1."""
     rng = np.random.default_rng(14)
     for _ in range(30):
         num = int(rng.integers(3, 9))
@@ -353,17 +355,83 @@ def test_search_matches_brute_force_small_graphs():
             for j in range(num)
             if i != j and rng.random() < 0.3
         }
+        yield num, edges
+
+
+def test_search_matches_brute_force_small_graphs():
+    for num, edges in small_graphs():
         graph = make_graph(num, edges)
         start, goal = 0, num - 1
-        expected = hop_count_cost(edges, num, start, goal, graph.edge_cost)
+        expected = fewest_hops(edges, num, start, goal)
         if expected is None:
             with pytest.raises(UnreachableGoalError):
                 search(graph, start, goal)
         else:
             path = search(graph, start, goal)
-            assert np.isclose((len(path) - 1) * graph.edge_cost, expected)
+            assert len(path) - 1 == expected
             assert path[0] == start and path[-1] == goal
             assert all((a, b) in edges for a, b in zip(path, path[1:]))
+
+
+def uniform_cost_search(graph, start, goal):
+    """Reference: Dijkstra over edges of cost two horizons, ties broken by
+    vertex index; returns the path, or the size of start's component."""
+    if start == goal:
+        return [start]
+    cost = 2.0 * graph.spec.horizon
+    adj = {}
+    for (i, j) in graph.edges:
+        if i != j:
+            adj.setdefault(i, []).append(j)
+    for v in adj:
+        adj[v].sort()
+    dist = {start: 0.0}
+    parent = {}
+    heap = [(0.0, start)]
+    done = set()
+    while heap:
+        d, u = heapq.heappop(heap)
+        if u in done:
+            continue
+        done.add(u)
+        if u == goal:
+            path = [goal]
+            while path[-1] != start:
+                path.append(parent[path[-1]])
+            return path[::-1]
+        for v in adj.get(u, []):
+            nd = d + cost
+            if v not in dist or nd < dist[v] - 1e-12:
+                dist[v] = nd
+                parent[v] = u
+                heapq.heappush(heap, (nd, v))
+    return len(done)
+
+
+def test_search_matches_uniform_cost_reference():
+    # Same path and component size as uniform-cost search with index
+    # tie-breaks, on the small graphs and on 600 random graphs of up to
+    # 40 vertices with self-loops, sparse to dense.
+    spec = integrator_spec()
+    cases = [(num, edges, 0, num - 1) for num, edges in small_graphs()]
+    rng = np.random.default_rng(15)
+    for _ in range(600):
+        num = int(rng.integers(1, 41))
+        mask = rng.random((num, num)) < rng.uniform(0.02, 0.5)
+        edges = set(map(tuple, np.argwhere(mask).tolist()))
+        cases.append((num, edges, int(rng.integers(num)), int(rng.integers(num))))
+    unreachable = 0
+    for num, edges, start, goal in cases:
+        graph = make_graph(num, edges, spec)
+        expected = uniform_cost_search(graph, start, goal)
+        if isinstance(expected, list):
+            assert search(graph, start, goal) == expected
+        else:
+            with pytest.raises(UnreachableGoalError) as exc:
+                search(graph, start, goal)
+            assert exc.value.component_size == expected
+            unreachable += 1
+    assert 50 <= unreachable <= len(cases) - 200, unreachable
 
 
 # -- trajectory extraction ---------------------------------------------------
@@ -401,17 +469,46 @@ def test_extracted_segments_satisfy_certificates():
         assert cert.accepts(seg.points, tol=1e-6)
 
 
+def de_casteljau(points, s):
+    """Curve value at phase s in [0, 1] by repeated linear interpolation."""
+    while points.shape[1] > 1:
+        points = (1.0 - s) * points[:, :-1] + s * points[:, 1:]
+    return points[:, 0]
+
+
 def test_trajectory_sampling_matches_pointwise_eval():
+    # Oracle: find each time's segment by walking the durations (a time on
+    # a junction belongs to the earlier segment), then evaluate the
+    # segment's derivatives 0..gamma by de Casteljau.
     spec = integrator_spec()
     verts = np.array([[0.2, 0.0], [-0.2, 0.0]])
     graph = build_graph(verts, spec)
-    traj = extract_trajectory(graph, [0, 1])
-    ts = np.linspace(0, traj.total_duration, 37)
+    traj = extract_trajectory(graph, [0, 1, 0])
+    ends = np.cumsum([seg.duration for seg in traj.segments])
+    ts = np.union1d(np.linspace(0, traj.total_duration, 37), ends)
     X = traj.sample_states(ts)
     Q = traj.sample_q_gamma(ts)
     for i, t in enumerate(ts):
-        assert np.allclose(X[:, i], traj.state(float(t)), atol=1e-10)
-        assert np.allclose(Q[:, i], traj.q_gamma(float(t)), atol=1e-10)
+        acc = 0.0
+        for idx, seg in enumerate(traj.segments):
+            if t <= acc + seg.duration or idx == len(traj.segments) - 1:
+                break
+            acc += seg.duration
+        s = min(max((t - acc) / seg.duration, 0.0), 1.0)
+        derivs = [seg]
+        for _ in range(traj.gamma):
+            derivs.append(derivs[-1].derivative())
+        values = [de_casteljau(c.points, s) for c in derivs]
+        assert np.allclose(X[:, i], np.concatenate(values[:-1]), atol=1e-10)
+        assert np.allclose(Q[:, i], values[-1], atol=1e-10)
+
+
+def test_sampling_an_empty_trajectory_is_an_error():
+    traj = PlannedTrajectory([], gamma=2)
+    with pytest.raises(ValueError, match="empty trajectory"):
+        traj.sample_states(np.array([0.0]))
+    with pytest.raises(ValueError, match="empty trajectory"):
+        traj.sample_q_gamma(np.array([0.0]))
 
 
 def test_trajectory_json_round_trip():

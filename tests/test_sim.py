@@ -65,11 +65,13 @@ def test_unknown_disturbance_policy_rejected():
 
 
 def test_coarse_dt_rejected():
+    # Too coarse, not positive, or NaN.
     model = integrator_chain(2, 1)
     cs = box_constraints([-1, -1], [1, 1], 1.0)
     traj = hold_trajectory(np.zeros(2), T=1.0)
-    with pytest.raises(ValueError):
-        rollout(model, traj, cs, TrackingCertificate.exact(), dt=0.01)
+    for dt in (0.01, 0.0, -1e-3, np.nan):
+        with pytest.raises(ValueError, match="dt="):
+            rollout(model, traj, cs, TrackingCertificate.exact(), dt=dt)
 
 
 def test_divergence_detected():
