@@ -48,6 +48,7 @@ from .planner import (
     extract_trajectory,
     sample_vertices,
     search,
+    segment_slack,
 )
 from .reachability import ReachSpec, sample_cloud
 from .sim import DivergenceError, monitor, rollout
@@ -331,6 +332,7 @@ def cmd_plan(cfg: dict, out: Path, seed: int) -> int:
         print(f"planning infeasible: {exc}", file=sys.stderr)
         return EXIT_INFEASIBLE
     traj = extract_trajectory(graph, path)
+    slack = segment_slack(graph, path)
 
     res = _rollout(cfg, model, traj, cs, cert, seed)
     report = monitor(res, cs)
@@ -356,6 +358,8 @@ def cmd_plan(cfg: dict, out: Path, seed: int) -> int:
         graph_edges=len(graph.edges),
         vertices=int(verts.shape[0]),
         total_duration=traj.total_duration,
+        segment_slack=slack,
+        min_segment_slack=min(slack),
     )
     if model.n == 2:
         artifacts.write_polyline_svg(out / "trajectory.svg", states.T)
@@ -378,6 +382,15 @@ def cmd_simulate(cfg: dict, out: Path, seed: int) -> int:
         traj = PlannedTrajectory.from_json_dict(doc)
     except (KeyError, TypeError, ValueError) as exc:
         raise ConfigError("sim.trajectory", f"malformed trajectory: {exc!r}") from exc
+    if not traj.segments:
+        raise ConfigError("sim.trajectory", "trajectory has no segments")
+    if traj.gamma != model.gamma:
+        raise ConfigError("sim.trajectory",
+                          f"trajectory gamma {traj.gamma} != model gamma {model.gamma}")
+    for i, seg in enumerate(traj.segments):
+        if seg.dim != model.m:
+            raise ConfigError("sim.trajectory", f"segment {i} has {seg.dim} point rows, "
+                              f"but the model has {model.m} inputs")
     res = _rollout(cfg, model, traj, cs, cert, seed)
     report = monitor(res, cs)
     files = ["rollout.csv", "summary.json"]

@@ -13,6 +13,7 @@ every state-space control point and vectorized into F vec(p) <= G
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Sequence
 
 import numpy as np
@@ -63,6 +64,12 @@ class CertificatePolytope:
     def accepts(self, points: np.ndarray, tol: float = 1e-8) -> bool:
         vec = np.asarray(points, dtype=float).reshape(-1, order="F")
         return bool(np.all(self.F @ vec <= self.G + tol))
+
+    def slack(self, points: np.ndarray) -> float:
+        """min(G - F vec(p)): how far the curve stays inside the
+        certificate (negative when a row is violated)."""
+        vec = np.asarray(points, dtype=float).reshape(-1, order="F")
+        return float(np.min(self.G - self.F @ vec))
 
 
 def input_bound_row(
@@ -122,7 +129,7 @@ def _box_vertices(s_max: np.ndarray) -> np.ndarray:
 
 
 def _quad_max(M: np.ndarray, N: np.ndarray, verts: np.ndarray) -> float:
-    return float(np.max(np.einsum("ij,jk,ik->i", verts, M, verts) + verts @ N))
+    return float((np.einsum("ij,jk,ik->i", verts, M, verts) + verts @ N).max())
 
 
 def _level_set_radius(
@@ -181,27 +188,16 @@ def _level_set_radius(
     return radius
 
 
-def _expand_norm_row(
-    a1: np.ndarray,
-    c: np.ndarray,
-    delta: float,
-    x_ref: np.ndarray,
-    f_ref: np.ndarray,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Signed-permutation expansion of c1||x-x_ref|| + c2||q-f_ref|| +
-    a1^T x <= delta into 4nm linear rows on [x; q], ordered by
+@lru_cache(maxsize=64)
+def _sign_pattern(n: int, m: int) -> tuple[np.ndarray, ...]:
+    """(row, i, j, s1, s2) of the 4nm signed-permutation rows, ordered by
     (i, j, s1, s2) with state index i, input index j and signs s1, s2
-    (+1 before -1)."""
-    n = x_ref.shape[0]
-    m = f_ref.shape[0]
+    (+1 before -1); read-only."""
     i, j, k1, k2 = np.indices((n, m, 2, 2)).reshape(4, -1)
-    s1, s2 = 1.0 - 2.0 * k1, 1.0 - 2.0 * k2
-    r = np.arange(i.size)
-    rows = np.zeros((i.size, n + m))
-    rows[:, :n] = a1
-    rows[r, i] += c[0] * s1
-    rows[r, n + j] = c[1] * s2
-    return rows, delta + c[0] * s1 * x_ref[i] + c[1] * s2 * f_ref[j]
+    pattern = (np.arange(i.size), i, j, 1.0 - 2.0 * k1, 1.0 - 2.0 * k2)
+    for a in pattern:
+        a.flags.writeable = False
+    return pattern
 
 
 def sigma_box(
@@ -210,19 +206,22 @@ def sigma_box(
     x_ref: np.ndarray,
     q_gamma_bound: float,
 ) -> np.ndarray:
-    """Bounds on (||x - x_ref||, ||q^(gamma) - f(x_ref)||) over C_X.
+    """Bounds on (||x - x_ref||, ||q^(gamma) - f(x_ref)||) over C_X, row-wise
+    over references of shape (..., n), returning (..., 2).
 
     The first entry comes from the bounding box of the state polytope;
     the second from the bound on ||q^(gamma)||.
     """
-    x_ref = np.asarray(x_ref, dtype=float).reshape(-1)
+    x_ref = np.asarray(x_ref, dtype=float)
     lo, hi = cs.bounding_box()
-    s1 = float(np.max(np.maximum(np.abs(lo - x_ref), np.abs(hi - x_ref))))
-    f_ref = np.atleast_1d(model.f_d(x_ref))
-    s2 = float(q_gamma_bound + np.max(np.abs(f_ref)))
-    if s1 <= 0 or s2 <= 0 or not np.isfinite(s1 + s2):
-        raise ValueError(f"sigma box must be finite and positive, got ({s1}, {s2})")
-    return np.array([s1, s2])
+    s1 = np.max(np.maximum(np.abs(lo - x_ref), np.abs(hi - x_ref)), axis=-1)
+    s2 = q_gamma_bound + np.max(np.abs(model.f_d(x_ref)), axis=-1)
+    box = np.stack([s1, s2], axis=-1)
+    bad = ~((box > 0) & np.isfinite(box)).all(axis=-1)
+    if bad.any():
+        got = tuple(box[bad][0].tolist())
+        raise ValueError(f"sigma box must be finite and positive, got {got}")
+    return box
 
 
 def default_q_gamma_bound(model: PlanningModel, cs: ConstraintSet) -> float:
@@ -236,6 +235,54 @@ def default_q_gamma_bound(model: PlanningModel, cs: ConstraintSet) -> float:
     return f_max + g_max * cs.effective_u_max()
 
 
+def _lift_plan(rows: Sequence[MixedConstraintRow], model: PlanningModel):
+    key = tuple((row.a1.tobytes(), row.a2, row.a3, row.b) for row in rows)
+    return _lift_plan_cached(key, model.n, model.m, model.lipschitz_f, model.lipschitz_ginv)
+
+
+@lru_cache(maxsize=64)
+def _lift_plan_cached(key: tuple, n: int, m: int, L_f: float, L_G: float):
+    """What `lift_rows` derives from the rows (key: a1 bytes, a2, a3, b
+    per row) and the model's Lipschitz constants alone, read-only: L and
+    h with the linear rows and the sigma-box pattern filled in (each norm
+    row's block holds its a1), and per norm row (index, first row of its
+    block, a1 == 0, a2, a3, b, M_hat)."""
+    L_blocks: list[np.ndarray] = []
+    h_blocks: list[np.ndarray] = []
+    norm_rows = []
+    start = 0
+    for idx, (a1_bytes, a2, a3, b) in enumerate(key):
+        a1 = np.frombuffer(a1_bytes)
+        if a1.shape[0] != n:
+            raise ValueError(f"row {idx}: state coefficient dimension != {n}")
+        if a2 == 0.0 and a3 == 0.0:
+            L_blocks.append(np.concatenate([a1, np.zeros(m)])[None, :])
+            h_blocks.append(np.array([b]))
+            start += 1
+            continue
+        M = 0.5 * a3 * np.array([[2.0 * L_G * L_f, L_G], [L_G, 0.0]])
+        M_hat = _psd_projection_2x2(M)
+        M_hat.flags.writeable = False
+        norm_rows.append((idx, start, not np.any(a1), a2, a3, b, M_hat))
+        block = np.zeros((4 * n * m, n + m))
+        block[:, :n] = a1
+        L_blocks.append(block)
+        h_blocks.append(np.zeros(4 * n * m))
+        start += 4 * n * m
+    # sigma-box enforcement: |x_i - x_ref_i| <= s1, |q_j - f_ref_j| <= s2,
+    # one (+, -) row pair per coordinate.
+    idx = np.arange(n + m)
+    box_L = np.zeros((2 * (n + m), n + m))
+    box_L[2 * idx, idx] = 1.0
+    box_L[2 * idx + 1, idx] = -1.0
+    L_blocks.append(box_L)
+    h_blocks.append(np.zeros(2 * (n + m)))
+    L, h = np.vstack(L_blocks), np.concatenate(h_blocks)
+    L.flags.writeable = False
+    h.flags.writeable = False
+    return L, h, tuple(norm_rows)
+
+
 def lift_rows(
     rows: Sequence[MixedConstraintRow],
     model: PlanningModel,
@@ -247,57 +294,60 @@ def lift_rows(
     Each row with norm terms is over-approximated by a convex quadratic
     in sigma = (||x - x_ref||, ||q^(gamma) - f(x_ref)||), shrunk to a
     linear level set via `_level_set_radius`, and expanded through the
-    infinity norms.  Box rows enforcing sigma <= s_max are appended so
-    the result is sound on its own.
+    infinity norms into 4nm signed-permutation rows, ordered by
+    (i, j, s1, s2) with state index i, input index j and signs s1, s2
+    (+1 before -1).  Box rows enforcing sigma <= s_max are appended so
+    the result is sound on its own.  What does not depend on the
+    reference comes from a cache (`_lift_plan`), so a call does only
+    f(x_ref), ||g(x_ref)^-1||, the level-set radii and the right-hand
+    sides.
     """
     x_ref = np.asarray(x_ref, dtype=float).reshape(-1)
     s_max = np.asarray(s_max, dtype=float).reshape(2)
-    if np.any(s_max <= 0) or not np.all(np.isfinite(s_max)):
+    if not 0.0 < s_max.min() <= s_max.max() < np.inf:
         raise ValueError("sigma box must be finite and positive")
     n = model.n
     m = model.m
+    L, h, norm_rows = _lift_plan(rows, model)
     f_ref = np.atleast_1d(model.f_d(x_ref))
     g_ref_inv = np.linalg.inv(model.g_d(x_ref))
-    g0 = float(np.max(np.sum(np.abs(g_ref_inv), axis=1)))
+    g0 = float(np.abs(g_ref_inv).sum(axis=1).max())
     L_f = model.lipschitz_f
-    L_G = model.lipschitz_ginv
 
-    L_blocks: list[np.ndarray] = []
-    h_blocks: list[np.ndarray] = []
-    for idx, row in enumerate(rows):
-        if row.a1.shape[0] != n:
-            raise ValueError(f"row {idx}: state coefficient dimension != {n}")
-        if row.a2 == 0.0 and row.a3 == 0.0:
-            L_blocks.append(np.concatenate([row.a1, np.zeros(m)])[None, :])
-            h_blocks.append(np.array([row.b]))
-            continue
-        M = 0.5 * row.a3 * np.array([[2.0 * L_G * L_f, L_G], [L_G, 0.0]])
-        N = np.array([row.a3 * L_f * g0 + row.a2, row.a3 * g0])
-        M_hat = _psd_projection_2x2(M)
+    L, h = L.copy(), h.copy()
+    r, i, j, s1, s2 = _sign_pattern(n, m)
+    for idx, start, a1_zero, a2, a3, b, M_hat in norm_rows:
+        N = np.array([a3 * L_f * g0 + a2, a3 * g0])
         c = N + M_hat @ s_max
-        a1_zero = not np.any(row.a1)
-        delta = _level_set_radius(M_hat, N, c, row.b, s_max, a1_zero)
+        delta = _level_set_radius(M_hat, N, c, b, s_max, a1_zero)
         if not np.isfinite(delta) or delta < -1e30:
             raise InfeasibleReductionError(
                 f"row {idx} admits no feasible point in the sigma box "
-                f"(b={row.b}, s_max={s_max.tolist()})"
+                f"(b={b}, s_max={s_max.tolist()})"
             )
-        Lr, hr = _expand_norm_row(row.a1, c, delta, x_ref, f_ref)
-        L_blocks.append(Lr)
-        h_blocks.append(hr)
+        block = L[start : start + i.size]
+        block[r, i] += c[0] * s1
+        block[r, n + j] = c[1] * s2
+        h[start : start + i.size] = delta + c[0] * s1 * x_ref[i] + c[1] * s2 * f_ref[j]
+    # The sigma-box rows' (+, -) right-hand sides, coordinate by coordinate.
+    box = h[-2 * (n + m) :].reshape(-1, 2)
+    box[:n, 0] = s_max[0] + x_ref
+    box[:n, 1] = s_max[0] - x_ref
+    box[n:, 0] = s_max[1] + f_ref
+    box[n:, 1] = s_max[1] - f_ref
+    return LiftedLinearConstraints(L=L, h=h)
 
-    # sigma-box enforcement: |x_i - x_ref_i| <= s1, |q_j - f_ref_j| <= s2,
-    # one (+, -) row pair per coordinate.
-    idx = np.arange(n + m)
-    box_L = np.zeros((2 * (n + m), n + m))
-    box_L[2 * idx, idx] = 1.0
-    box_L[2 * idx + 1, idx] = -1.0
-    radius = np.repeat(s_max, [n, m])
-    center = np.concatenate([x_ref, f_ref])
-    L_blocks.append(box_L)
-    h_blocks.append(np.column_stack([radius + center, radius - center]).ravel())
 
-    return LiftedLinearConstraints(L=np.vstack(L_blocks), h=np.concatenate(h_blocks))
+@lru_cache(maxsize=64)
+def _piece_maps(p: int, T: float, k: int, gamma: int) -> np.ndarray:
+    """W[i, l] = Q_i H^l, (k, gamma + 1, p + 1, p + 1), read-only: control
+    point c of the curve feeds derivative l at control point j of piece i
+    through W[i, l, c, j].  Each piece runs for T / k, which sets the
+    derivative scale."""
+    powers = derivative_powers(p, T / k, gamma + 1)
+    W = np.stack([Q @ powers for Q in split_matrices(p, k)])
+    W.flags.writeable = False
+    return W
 
 
 def refined_polytope(
@@ -312,7 +362,8 @@ def refined_polytope(
     and vectorize: F vec(p) <= G with (p+1) * rows(L_i) rows per segment.
 
     k = 1 is the unrefined certificate, since its split matrix is the
-    identity.  Each piece runs for T / k, which sets the derivative scale.
+    identity.  The segments lift the same rows, so they share a row
+    count, and F is one einsum over every piece (`_piece_maps`).
     """
     k = len(lifted_segments)
     if k < 1:
@@ -324,15 +375,10 @@ def refined_polytope(
             raise ValueError(
                 f"lifted rows act on R^{lifted.L.shape[1]}, expected {(gamma + 1) * m}"
             )
-    powers = derivative_powers(p, T / k, gamma + 1)
-    F_blocks = []
-    for lifted, Q in zip(lifted_segments, split_matrices(p, k)):
-        # W[l, c, j] = (Q H^l)[c, j]: control point c of the curve feeds
-        # derivative l at control point j of this piece.
-        W = Q @ powers
-        L = lifted.L.reshape(-1, gamma + 1, m)
-        F_blocks.append(np.einsum("rla,lcj->jrca", L, W).reshape(-1, m * (p + 1)))
+    W = _piece_maps(p, float(T), k, gamma)
+    L = np.stack([lifted.L.reshape(-1, gamma + 1, m) for lifted in lifted_segments])
+    F = np.einsum("krla,klcj->kjrca", L, W).reshape(-1, m * (p + 1))
     return CertificatePolytope(
-        F=np.vstack(F_blocks),
+        F=F,
         G=np.concatenate([np.tile(ls.h, p + 1) for ls in lifted_segments]),
     )

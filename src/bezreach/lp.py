@@ -35,6 +35,10 @@ _WITNESS_TOL = 1e-7
 _STALL = 8
 # Outward shift of the rows `reduce_2d` keeps; a 2-D set empty by less gets a polygon.
 _PAD = 1e-9
+# Angular sectors whose tightest rows form `reduce_2d`'s outer polygon.
+_SECTORS = 48
+# A row the outer polygon's vertices satisfy by more than this is redundant.
+_OUTER_MARGIN = 1e-9
 
 
 class IterationLimitError(RuntimeError):
@@ -316,17 +320,42 @@ def _vertices(A: np.ndarray, b: np.ndarray, lines: list[int]) -> np.ndarray:
     return np.column_stack([bi * xi - t * yi, bi * yi + t * xi])
 
 
+def _outer_filter(A: np.ndarray, b: np.ndarray, angle: np.ndarray):
+    """Indices of the angle-sorted rows that can bound {A x <= b}, or None
+    when the filter cannot tell.
+
+    The tightest row of each of _SECTORS angular sectors bounds an outer
+    polygon O containing the set; a row that every vertex of O satisfies
+    by more than _OUTER_MARGIN misses the set and is dropped.  None when
+    those rows leave an angular gap of pi or more (O is unbounded) or O
+    is empty.
+    """
+    sector = np.minimum(((angle + np.pi) * (_SECTORS / (2 * np.pi))).astype(int), _SECTORS - 1)
+    by_sector = np.lexsort((b, sector))
+    first = np.r_[True, sector[by_sector[1:]] != sector[by_sector[:-1]]]
+    pick = np.sort(by_sector[first])
+    turns = np.mod(np.diff(angle[pick], append=angle[pick[0]]), 2 * np.pi)
+    if pick.size < 3 or turns.max() > np.pi - 1e-12:
+        return None
+    lines = _polygon(A[pick], b[pick])
+    if lines is None:
+        return None
+    outer = _vertices(A[pick], b[pick], lines)
+    return np.flatnonzero((A @ outer.T).max(axis=1) > b - _OUTER_MARGIN)
+
+
 def reduce_2d(poly: Polytope) -> Polytope:
     """Equivalent polytope with redundant rows removed (2-D only).
 
-    Merges parallel rows, sorts the unit normals by angle and intersects
-    the half-planes in one pass; the result keeps the rows of the
-    polygon's edges, padded by _PAD, and carries the polygon as
-    `vertices`.  Returns the input unchanged when the normals leave an
-    angular gap of pi or more (the set is unbounded), and the input's
-    rows with the polygon attached when it degenerates below a proper
-    polygon (fewer than three edges, or empty only by up to _PAD);
-    returns an infeasible marker when the set is empty.
+    Merges parallel rows, sorts the unit normals by angle, drops the rows
+    an outer polygon shows to miss the set (`_outer_filter`) and
+    intersects the remaining half-planes in one pass; the result keeps
+    the rows of the polygon's edges, padded by _PAD, and carries the
+    polygon as `vertices`.  Returns the input unchanged when the normals
+    leave an angular gap of pi or more (the set is unbounded), and the
+    input's rows with the polygon attached when it degenerates below a
+    proper polygon (fewer than three edges, or empty only by up to
+    _PAD); returns an infeasible marker when the set is empty.
     """
     if poly.dim != 2:
         raise ValueError("reduce_2d only handles 2-D polytopes")
@@ -349,6 +378,17 @@ def reduce_2d(poly: Polytope) -> Polytope:
         if gaps[widest] < np.pi + 1e-12 and b[0] + b[-1] < -_PAD:
             return EMPTY_2D
         return poly
+    keep = _outer_filter(A, b, angle[order])
+    if keep is not None:
+        # Only a proper polygon that passes the check is taken from the
+        # filtered rows; otherwise every row decides, as rounding at a
+        # degenerate vertex depends on which rows the pass has seen.
+        lines = _polygon(A[keep], b[keep])
+        if lines is not None:
+            lines = keep[lines]
+            verts = _vertices(A, b, lines)
+            if np.all(A @ verts.T <= b[:, None] + _PAD) and _proper(verts):
+                return Polytope(A[lines], b[lines] + _PAD, verts)
     lines = _polygon(A, b)
     verts = None if lines is None else _vertices(A, b, lines)
     if verts is None or np.any(A @ verts.T > b[:, None] + _PAD):
@@ -358,10 +398,15 @@ def reduce_2d(poly: Polytope) -> Polytope:
         # they meet at its vertices at the unpadded rhs.
         lines = _polygon(A, b + _PAD)
         return EMPTY_2D if lines is None else Polytope(poly.A, poly.b, _vertices(A, b, lines))
-    edges = np.hypot(*(verts - np.roll(verts, 1, axis=0)).T)
-    if np.count_nonzero(edges >= 1e-12) < 3:
+    if not _proper(verts):
         return Polytope(poly.A, poly.b, verts)
     return Polytope(A[lines], b[lines] + _PAD, verts)
+
+
+def _proper(verts: np.ndarray) -> bool:
+    """At least three edges of the ccw polygon are 1e-12 long or more."""
+    edges = np.hypot(*(verts - np.roll(verts, 1, axis=0)).T)
+    return np.count_nonzero(edges >= 1e-12) >= 3
 
 
 def bounding_box(poly: Polytope):

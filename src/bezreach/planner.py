@@ -271,26 +271,42 @@ class PlannedTrajectory:
         return PlannedTrajectory(segs, gamma=int(doc["gamma"]))
 
 
-def extract_trajectory(graph: ReachGraph, path: list[int]) -> PlannedTrajectory:
-    """Two certified curves per edge (v_i -> w -> v_j), re-checked
-    against the certificate polytopes that justified the edge."""
+def _edge_curves(graph: ReachGraph, path: list[int]):
+    """For each path edge (i, j): the outbound curve v_i -> w and the
+    inbound curve w -> v_j through its witness w, each with the
+    certificate that justified the edge (forward from v_i, backward from
+    v_j)."""
     spec = graph.spec
-    segments: list[BezierCurve] = []
     for i, j in zip(path, path[1:]):
         if (i, j) not in graph.edges:
             raise ValueError(f"path edge ({i}, {j}) not present in graph")
         w = graph.edges[(i, j)]
         vi = graph.vertices[i]
         vj = graph.vertices[j]
-        first = spec.curve_between(vi, w)
-        second = spec.curve_between(w, vj)
-        if not spec.certificate(vi, "forward").accepts(first.points, tol=0.0):
-            raise InternalInconsistencyError(
-                f"edge ({i}, {j}): outbound segment fails its certificate"
-            )
-        if not spec.certificate(vj, "backward").accepts(second.points, tol=0.0):
-            raise InternalInconsistencyError(
-                f"edge ({i}, {j}): inbound segment fails its certificate"
-            )
-        segments.extend([first, second])
-    return PlannedTrajectory(segments, gamma=spec.model.gamma)
+        yield (i, j), (
+            (spec.certificate(vi, "forward"), spec.curve_between(vi, w)),
+            (spec.certificate(vj, "backward"), spec.curve_between(w, vj)),
+        )
+
+
+def extract_trajectory(graph: ReachGraph, path: list[int]) -> PlannedTrajectory:
+    """Two certified curves per edge (v_i -> w -> v_j), re-checked
+    against the certificate polytopes that justified the edge."""
+    segments: list[BezierCurve] = []
+    for (i, j), pieces in _edge_curves(graph, path):
+        for (cert, curve), name in zip(pieces, ("outbound", "inbound")):
+            if not cert.accepts(curve.points, tol=0.0):
+                raise InternalInconsistencyError(
+                    f"edge ({i}, {j}): {name} segment fails its certificate"
+                )
+            segments.append(curve)
+    return PlannedTrajectory(segments, gamma=graph.spec.model.gamma)
+
+
+def segment_slack(graph: ReachGraph, path: list[int]) -> list[float]:
+    """Certificate slack min(G - F vec(p)) of each curve of the trajectory
+    `extract_trajectory` builds along `path`, in order, against the
+    certificate it re-checks that curve with; all >= 0 once extraction
+    succeeded."""
+    return [cert.slack(curve.points)
+            for _, pieces in _edge_curves(graph, path) for cert, curve in pieces]

@@ -89,17 +89,14 @@ class ReachSpec:
         return x
 
     def certificate_for(self, refs: np.ndarray) -> CertificatePolytope:
-        u_eff = self.cs.effective_u_max()
-        state_rows = state_bound_rows(self.cs, self.cert)
-        lifted = [
-            lift_rows(
-                [input_bound_row(self.cert, ref, u_eff), *state_rows],
-                self.model,
-                ref,
-                sigma_box(self.model, self.cs, ref, self.q_gamma_bound),
-            )
-            for ref in refs
+        """Certificate for the per-segment references `refs` (k, n): one
+        `lift_rows` per segment, over sigma boxes taken for all k at once."""
+        rows = [
+            input_bound_row(self.cert, refs[0], self.cs.effective_u_max()),
+            *state_bound_rows(self.cs, self.cert),
         ]
+        boxes = sigma_box(self.model, self.cs, refs, self.q_gamma_bound)
+        lifted = [lift_rows(rows, self.model, ref, box) for ref, box in zip(refs, boxes)]
         return refined_polytope(
             lifted, self.order, self.horizon, self.model.gamma, self.model.m
         )

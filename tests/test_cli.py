@@ -296,6 +296,51 @@ def test_malformed_trajectory_is_a_config_error(tmp_path, capsys, traj_doc):
     assert "sim.trajectory" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("segments, gamma, message", [
+    ([], 2, "no segments"),
+    ([{"order": 3, "duration": 1.0, "points": [[0.0, 0.0, 0.0, 0.0]]}], 1,
+     "trajectory gamma 1 != model gamma 2"),
+    ([{"order": 3, "duration": 1.0, "points": [[0.0] * 4, [0.0] * 4]}], 2,
+     "segment 0 has 2 point rows, but the model has 1 inputs"),
+], ids=["no-segments", "gamma", "point-rows"])
+def test_trajectory_that_does_not_fit_the_model_is_a_config_error(
+        tmp_path, capsys, segments, gamma, message):
+    traj_path = tmp_path / "traj.json"
+    traj_path.write_text(json.dumps({"gamma": gamma, "segments": segments}))
+    doc = json.loads(json.dumps(INTEGRATOR_PLAN))
+    doc["sim"] = {"trajectory": str(traj_path)}
+    cfg = write_config(tmp_path, doc)
+    assert cli.main(["simulate", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
+    err = capsys.readouterr().err
+    assert "sim.trajectory" in err and message in err
+
+
+def test_plan_reports_segment_slack(tmp_path):
+    # Each curve's slack against the certificate extraction checks it
+    # with, recomputed from graph.json and trajectory.json.
+    cfg = write_config(tmp_path, INTEGRATOR_PLAN)
+    out = tmp_path / "o"
+    assert cli.main(["plan", "--config", cfg, "--out", str(out)]) == 0
+    summary = json.loads((out / "summary.json").read_text())
+    graph = json.loads((out / "graph.json").read_text())
+    traj = json.loads((out / "trajectory.json").read_text())
+    spec = cli.build_spec(INTEGRATOR_PLAN, cli.build_model(INTEGRATOR_PLAN),
+                          cli.build_certificate(INTEGRATOR_PLAN),
+                          cli.build_constraints(INTEGRATOR_PLAN))
+    V = np.array(graph["vertices"])
+    path = summary["path"]
+    expected = []
+    for k, seg in enumerate(traj["segments"]):
+        i, j = path[k // 2], path[k // 2 + 1]
+        cert = (spec.certificate(V[i], "forward") if k % 2 == 0
+                else spec.certificate(V[j], "backward"))
+        vec = np.array(seg["points"]).reshape(-1, order="F")
+        expected.append(float(np.min(cert.G - cert.F @ vec)))
+    assert len(expected) == 2 * summary["path_edges"] > 0
+    assert summary["segment_slack"] == expected
+    assert summary["min_segment_slack"] == min(expected) >= 0.0
+
+
 def test_seed_flag_overrides_config(tmp_path):
     doc = dict(PENDULUM_BLOCKS)
     doc["seed"] = 0

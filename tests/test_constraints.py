@@ -18,7 +18,6 @@ from bezreach.constraints import (
     InfeasibleCertificateError,
     LiftedLinearConstraints,
     MixedConstraintRow,
-    _expand_norm_row,
     _level_set_radius,
     _psd_projection_2x2,
     default_q_gamma_bound,
@@ -176,20 +175,174 @@ def test_lift_rows_bitwise_equal_to_loop_construction(model):
     rng = np.random.default_rng(10 * n + m)
     for trial in range(6):
         a1 = rng.normal(size=n) if trial % 2 else np.zeros(n)
-        c = rng.uniform(0.1, 3.0, size=2)
-        delta = float(rng.normal())
-        x_ref, f_ref = rng.normal(size=n), rng.normal(size=m)
-        for got, want in zip(_expand_norm_row(a1, c, delta, x_ref, f_ref),
-                             loop_expand_norm_row(a1, c, delta, x_ref, f_ref)):
-            assert_bitwise_equal(got, want)
-
+        x_ref = rng.normal(size=n)
         s_max = rng.uniform(0.5, 3.0, size=2)
         row = MixedConstraintRow(a1, float(rng.uniform(0.0, 1.0)), 0.5, 5.0)
         lifted = lift_rows([row], model, x_ref, s_max)
         f_ref = np.atleast_1d(model.f_d(x_ref))
+        # The level set as lift_rows derives it, then the loop expansion.
+        c, delta = reference_level_set(row, model, x_ref, s_max)
+        norm_L, norm_h = loop_expand_norm_row(a1, c, delta, x_ref, f_ref)
+        assert_bitwise_equal(lifted.L[: 4 * n * m], norm_L)
+        assert_bitwise_equal(lifted.h[: 4 * n * m], norm_h)
         box_L, box_h = loop_sigma_box_rows(s_max, x_ref, f_ref)
         assert_bitwise_equal(lifted.L[-2 * (n + m):], box_L)
         assert_bitwise_equal(lifted.h[-2 * (n + m):], box_h)
+
+
+def reference_level_set(row, model, x_ref, s_max):
+    """(c, delta) of a norm row: the cut direction and radius."""
+    g0 = float(np.max(np.sum(np.abs(np.linalg.inv(model.g_d(x_ref))), axis=1)))
+    L_f, L_G = model.lipschitz_f, model.lipschitz_ginv
+    M = 0.5 * row.a3 * np.array([[2.0 * L_G * L_f, L_G], [L_G, 0.0]])
+    N = np.array([row.a3 * L_f * g0 + row.a2, row.a3 * g0])
+    M_hat = _psd_projection_2x2(M)
+    c = N + M_hat @ s_max
+    return c, _level_set_radius(M_hat, N, c, row.b, s_max, not np.any(row.a1))
+
+
+# -- the lift as it was built row by row, per reference ----------------------
+
+
+def reference_lift_rows(rows, model, x_ref, s_max):
+    """`lift_rows` before its reference-independent work was cached: every
+    row's M_hat, expansion pattern and block rebuilt on each call."""
+    n, m = model.n, model.m
+    f_ref = np.atleast_1d(model.f_d(x_ref))
+    L_blocks, h_blocks = [], []
+    for row in rows:
+        if row.a2 == 0.0 and row.a3 == 0.0:
+            L_blocks.append(np.concatenate([row.a1, np.zeros(m)])[None, :])
+            h_blocks.append(np.array([row.b]))
+            continue
+        c, delta = reference_level_set(row, model, x_ref, s_max)
+        i, j, k1, k2 = np.indices((n, m, 2, 2)).reshape(4, -1)
+        s1, s2 = 1.0 - 2.0 * k1, 1.0 - 2.0 * k2
+        r = np.arange(i.size)
+        block = np.zeros((i.size, n + m))
+        block[:, :n] = row.a1
+        block[r, i] += c[0] * s1
+        block[r, n + j] = c[1] * s2
+        L_blocks.append(block)
+        h_blocks.append(delta + c[0] * s1 * x_ref[i] + c[1] * s2 * f_ref[j])
+    idx = np.arange(n + m)
+    box_L = np.zeros((2 * (n + m), n + m))
+    box_L[2 * idx, idx] = 1.0
+    box_L[2 * idx + 1, idx] = -1.0
+    radius = np.repeat(s_max, [n, m])
+    center = np.concatenate([x_ref, f_ref])
+    L_blocks.append(box_L)
+    h_blocks.append(np.column_stack([radius + center, radius - center]).ravel())
+    return np.vstack(L_blocks), np.concatenate(h_blocks)
+
+
+def reference_sigma_box(model, cs, x_ref, q_gamma_bound):
+    """`sigma_box` for one reference, as scalars."""
+    lo, hi = cs.bounding_box()
+    s1 = float(np.max(np.maximum(np.abs(lo - x_ref), np.abs(hi - x_ref))))
+    s2 = float(q_gamma_bound + np.max(np.abs(np.atleast_1d(model.f_d(x_ref)))))
+    return np.array([s1, s2])
+
+
+def reference_certificate(spec, refs):
+    """`ReachSpec.certificate_for` as it was: the rows, the sigma box and
+    the lift rebuilt per reference, and F assembled one segment at a time."""
+    p, k, gamma, m = spec.order, spec.refinement, spec.model.gamma, spec.model.m
+    powers = np.stack([np.linalg.matrix_power(derivative_map(p, spec.horizon / k), l)
+                       for l in range(gamma + 1)])
+    F_blocks, G_blocks = [], []
+    for ref, Q in zip(refs, split_matrices(p, k)):
+        rows = [input_bound_row(spec.cert, ref, spec.cs.effective_u_max()),
+                *state_bound_rows(spec.cs, spec.cert)]
+        L, h = reference_lift_rows(rows, spec.model, ref, reference_sigma_box(
+            spec.model, spec.cs, ref, spec.q_gamma_bound))
+        W = Q @ powers
+        F_blocks.append(np.einsum("rla,lcj->jrca", L.reshape(-1, gamma + 1, m), W)
+                        .reshape(-1, m * (p + 1)))
+        G_blocks.append(np.tile(h, p + 1))
+    return np.vstack(F_blocks), np.concatenate(G_blocks)
+
+
+def varying_actuation_model():
+    """Pendulum-like chain with a state-dependent g: g^-1 has Lipschitz
+    constant > 0, so every norm row's M_hat is nonzero."""
+    from bezreach.models import PlanningModel
+
+    return PlanningModel(
+        gamma=2, m=1,
+        f_d=lambda x: 9.81 * np.sin(x[..., :1]),
+        g_d=lambda x: (1.0 + 0.5 * np.cos(x[..., :1]))[..., None],
+        lipschitz_f=9.81, lipschitz_ginv=2.0, name="varying",
+    )
+
+
+@pytest.mark.parametrize("model", [pendulum_model(0.1, 1.0, 9.81), varying_actuation_model(),
+                                   integrator_chain(2, 2)], ids=lambda model: model.name)
+def test_lift_rows_equals_per_row_construction(model):
+    # Rows with a1 = 0 (closed-form radius), with a1 != 0 and a2 > 0 (the
+    # vertex-max branch of `_level_set_radius`), and linear rows, in an
+    # order that interleaves them; the same rows on several references,
+    # as a certificate lifts them.
+    n, m = model.n, model.m
+    rng = np.random.default_rng(n + 7 * m)
+    rows = [MixedConstraintRow(np.zeros(n), 0.7, 0.2, 9.0),
+            MixedConstraintRow(rng.normal(size=n), 0.0, 0.0, 1.5),
+            MixedConstraintRow(rng.normal(size=n), 0.3, 0.1, 12.0),
+            MixedConstraintRow(rng.normal(size=n), 0.0, 0.0, 2.5)]
+    for _ in range(5):
+        x_ref = rng.normal(size=n)
+        s_max = rng.uniform(0.5, 3.0, size=2)
+        lifted = lift_rows(rows, model, x_ref, s_max)
+        L, h = reference_lift_rows(rows, model, x_ref, s_max)
+        assert_bitwise_equal(lifted.L, L)
+        assert_bitwise_equal(lifted.h, h)
+
+
+def certificate_cases():
+    from bezreach.reachability import ReachSpec
+
+    pend_cs = box_constraints([-1.0, -7.5], [2 * np.pi + 1, 7.5], 5.0)
+    cert = TrackingCertificate(0.005, 0.0, 1.0, 1.0, 1.0)
+    # lipschitz_e > 0 turns the state rows into norm rows with a1 != 0.
+    loose = TrackingCertificate(0.005, 0.02, 1.0, 1.0, 1.0)
+    chain_cs = box_constraints(-np.ones(4), np.ones(4), 2.0)
+    rng = np.random.default_rng(3)
+    pend_anchors = rng.uniform([-0.5, -5.0], [2 * np.pi + 0.5, 5.0], size=(3, 2))
+    yield ReachSpec(pendulum_model(0.1, 1.0, 9.81), cert, pend_cs, order=3, horizon=0.15,
+                    refinement=10, reference_policy="drift", q_gamma_bound=70.0), pend_anchors
+    yield ReachSpec(varying_actuation_model(), loose, pend_cs, order=3, horizon=0.15,
+                    refinement=4, reference_policy="drift", q_gamma_bound=70.0), pend_anchors
+    for k in (1, 4):
+        yield ReachSpec(integrator_chain(2, 2), cert, chain_cs, order=3, horizon=1.0,
+                        refinement=k, reference_policy="fixed", x_ref=np.zeros(4),
+                        q_gamma_bound=10.0), np.zeros((1, 4))
+    yield ReachSpec(integrator_chain(2, 2), loose, chain_cs, order=4, horizon=1.0,
+                    refinement=4, reference_policy="drift",
+                    q_gamma_bound=10.0), rng.uniform(-0.5, 0.5, size=(2, 4))
+
+
+def test_certificates_equal_per_reference_construction():
+    cases = 0
+    for spec, anchors in certificate_cases():
+        for direction in ("forward", "backward"):
+            for anchor in anchors:
+                refs = spec.references(anchor, direction)
+                built = spec.certificate_for(refs)
+                F, G = reference_certificate(spec, refs)
+                assert np.array_equal(built.F, F) and np.array_equal(built.G, G)
+                cases += 1
+    assert cases == 2 * (3 + 3 + 1 + 1 + 2)
+
+
+def test_sigma_box_row_wise_equals_one_reference():
+    model = pendulum_model(0.1, 1.0, 9.81)
+    cs = box_constraints([-1.0, -7.5], [2 * np.pi + 1, 7.5], 5.0)
+    refs = np.random.default_rng(4).uniform([-1.0, -7.0], [7.0, 7.0], size=(3, 10, 2))
+    boxes = sigma_box(model, cs, refs, 70.0)
+    assert boxes.shape == (3, 10, 2)
+    for ref, box in zip(refs.reshape(-1, 2), boxes.reshape(-1, 2)):
+        assert_bitwise_equal(box, reference_sigma_box(model, cs, ref, 70.0))
+        assert_bitwise_equal(box, sigma_box(model, cs, ref, 70.0))
 
 
 def sample_in_lift(rng, lifted, n, m, count, x_ref, s_max):

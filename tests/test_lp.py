@@ -721,3 +721,142 @@ def test_reduce_2d_matches_scipy_on_swingup_polytopes(linprog, monkeypatch):
     monkeypatch.undo()
     assert len(polys) == 34
     assert sum(check_against_scipy(P.A, P.b, linprog) == 1 for P in polys) == 34
+
+
+# -- the outer-polygon filter against the unfiltered pass -------------------
+
+
+def unfiltered_reduce_2d(poly):
+    """`reduce_2d` without `_outer_filter`: every merged row goes through
+    the one deque pass."""
+    rows = lp._reduce_rows(poly.A, poly.b)
+    if rows is None:
+        return lp.EMPTY_2D
+    A, b, _ = rows
+    if A.shape[0] == 0:
+        return poly
+    angle = np.arctan2(A[:, 1], A[:, 0])
+    order = np.argsort(angle)
+    gaps = np.diff(angle[order], append=angle[order[0]] + 2 * np.pi)
+    widest = int(np.argmax(gaps))
+    order = np.roll(order, -(widest + 1))
+    A, b = A[order], b[order]
+    if gaps[widest] > np.pi - 1e-12:
+        if gaps[widest] < np.pi + 1e-12 and b[0] + b[-1] < -lp._PAD:
+            return lp.EMPTY_2D
+        return poly
+    lines = lp._polygon(A, b)
+    verts = None if lines is None else lp._vertices(A, b, lines)
+    if verts is None or np.any(A @ verts.T > b[:, None] + lp._PAD):
+        lines = lp._polygon(A, b + lp._PAD)
+        return lp.EMPTY_2D if lines is None else lp.Polytope(poly.A, poly.b,
+                                                             lp._vertices(A, b, lines))
+    edges = np.hypot(*(verts - np.roll(verts, 1, axis=0)).T)
+    if np.count_nonzero(edges >= 1e-12) < 3:
+        return lp.Polytope(poly.A, poly.b, verts)
+    return lp.Polytope(A[lines], b[lines] + lp._PAD, verts)
+
+
+def assert_same_reduction(poly):
+    got, want = lp.reduce_2d(poly), unfiltered_reduce_2d(poly)
+    assert np.array_equal(got.A, want.A) and np.array_equal(got.b, want.b)
+    assert (got.vertices is None) == (want.vertices is None)
+    assert got.vertices is None or np.array_equal(got.vertices, want.vertices)
+
+
+def counting_filter(monkeypatch):
+    """Patch `_outer_filter` to count the calls that filtered (not None)."""
+    calls = {"filtered": 0, "declined": 0}
+    real = lp._outer_filter
+
+    def counted(A, b, angle):
+        keep = real(A, b, angle)
+        calls["declined" if keep is None else "filtered"] += 1
+        return keep
+
+    monkeypatch.setattr(lp, "_outer_filter", counted)
+    return calls
+
+
+def test_outer_filter_keeps_random_reductions(monkeypatch):
+    calls = counting_filter(monkeypatch)
+    for seed in range(400):
+        rng = np.random.default_rng(seed)
+        for _ in range(3):
+            assert_same_reduction(random_polytope_nd(rng, 2, 9, kind=2))
+    rng = np.random.default_rng(41)
+    for trial in range(300):
+        assert_same_reduction(random_polytope_nd(rng, 2, int(rng.integers(3, 200))))
+        # Many rows with exact and near-parallel copies and lines through
+        # the polygon's vertices, as in the scipy comparison above.
+        rows = int(rng.integers(20, 300))
+        A = unit_rows(rng.uniform(-np.pi, np.pi, rows)) * rng.uniform(0.1, 10.0, (rows, 1))
+        b = rng.uniform(-0.1, 2.0, size=rows) * np.linalg.norm(A, axis=1)
+        pick = rng.integers(0, rows, size=rows // 2)
+        A = np.vstack([A, [[1, 0], [-1, 0], [0, 1], [0, -1]], A[pick] * 1.5,
+                       rotate(A[pick], rng.uniform(-1e-12, 1e-12, pick.size))])
+        b = np.concatenate([b, [4.0, 4, 4, 4], b[pick] * 1.5,
+                            b[pick] + rng.uniform(-1e-12, 1e-12, pick.size)])
+        red = lp.reduce_2d(lp.Polytope(A, b))
+        if red.vertices is not None and red.vertices.shape[0]:
+            v = red.vertices[rng.integers(0, red.vertices.shape[0], size=5)]
+            extra = unit_rows(rng.uniform(-np.pi, np.pi, 5))
+            A, b = np.vstack([A, extra]), np.concatenate([b, np.sum(extra * v, axis=1)])
+        assert_same_reduction(lp.Polytope(A, b))
+    assert calls["filtered"] >= 300, calls
+
+
+def test_outer_filter_declines_a_sector_gap_of_pi():
+    # Rows at 0.5 and 7 degrees share a sector, which keeps the tighter
+    # one at 0.5; the next row, at 186.9 degrees, is 179.9 degrees past
+    # 7 but 186.4 past 0.5.  The set is a bounded triangle-like polygon,
+    # yet its sector rows leave a gap of more than pi.
+    A = unit_rows(np.deg2rad([0.5, 7.0, 186.9, 270.0]))
+    b = np.array([1.0, 2.0, 1.0, 3.0])
+    poly = lp.Polytope(A, b)
+    merged, rhs, _ = lp._reduce_rows(A, b)
+    angle = np.arctan2(merged[:, 1], merged[:, 0])
+    assert lp._outer_filter(merged, rhs, angle) is None
+    red = lp.reduce_2d(poly)
+    assert red.vertices is not None and red.vertices.shape[0] >= 3
+    assert_same_reduction(poly)
+
+
+def test_outer_filter_keeps_swingup_build_reductions(monkeypatch):
+    # Every polytope reduced in a build of the swing-up drift graph
+    # (k = 10): the state box, then the forward and backward sets of all
+    # vertices, about 720 rows each.
+    from bezreach.models import (
+        ConstraintSet,
+        TrackingCertificate,
+        pendulum_energy_controller,
+        pendulum_model,
+    )
+    from bezreach.planner import build_graph, controlled_waypoints, sample_vertices
+    from bezreach.reachability import ReachSpec
+
+    model = pendulum_model(0.1, 1.0, 9.81)
+    cs = ConstraintSet(np.array([[1.0, 0], [-1, 0], [0, 1], [0, -1]]),
+                       np.array([2 * np.pi + 1, 1.0, 7.5, 7.5]), u_max=5.0)
+    spec = ReachSpec(model, TrackingCertificate(0.005, 0.0, 1.0, 1.0, 1.0), cs, order=3,
+                     horizon=0.15, refinement=10, reference_policy="drift",
+                     q_gamma_bound=70.0)
+    ctrl = pendulum_energy_controller(0.1, 1.0, 9.81, u_pump=1.0, u_catch=0.15)
+
+    def near_upright(x):
+        return abs(x[0] - 2 * np.pi * round(x[0] / (2 * np.pi))) < 0.015 and abs(x[1]) < 0.03
+
+    origin = np.array([np.pi, 0.0])
+    wps = controlled_waypoints(model, origin, ctrl, hop=0.3, max_hops=400, stop=near_upright)
+    vertices = sample_vertices((np.array([-0.5, -7.0]), np.array([2 * np.pi + 0.5, 7.0])), 4,
+                               seed=11, include=[origin, *wps[1:], np.array([2 * np.pi, 0.0])])
+    inputs = []
+    real = lp.reduce_2d
+    monkeypatch.setattr(lp, "reduce_2d", lambda poly: inputs.append(poly) or real(poly))
+    build_graph(vertices, spec)
+    monkeypatch.undo()
+    assert len(inputs) == 35
+    calls = counting_filter(monkeypatch)
+    for poly in inputs:
+        assert_same_reduction(poly)
+    assert calls == {"filtered": len(inputs), "declined": 0}

@@ -281,6 +281,32 @@ def test_build_graph_makes_one_reference_flow_per_direction(monkeypatch):
     assert len(flows) == 2 and len(built) == 12
 
 
+def test_drift_build_projects_each_norm_row_once(monkeypatch):
+    # The PSD projection of a norm row depends on the row and the model's
+    # Lipschitz constants, not on the reference: one eigh per distinct
+    # norm row for the whole build (here the input row; the state rows are
+    # linear), where lifting per reference made k per certificate.  Every
+    # segment still gets its own lift_rows call.
+    spec = pendulum_spec(policy="drift", refinement=4)
+    counts = {"eigh": 0, "lift_rows": 0, "certificate_for": 0}
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            counts[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(np.linalg, "eigh", counted("eigh", np.linalg.eigh))
+    monkeypatch.setattr(reachability, "lift_rows", counted("lift_rows", reachability.lift_rows))
+    monkeypatch.setattr(ReachSpec, "certificate_for",
+                        counted("certificate_for", ReachSpec.certificate_for))
+    constraints._lift_plan_cached.cache_clear()
+    rng = np.random.default_rng(9)
+    vertices = rng.uniform([np.pi - 0.5, -1.5], [np.pi + 0.5, 1.5], size=(9, 2))
+    build_graph(vertices, spec)
+    assert counts == {"eigh": 1, "lift_rows": 4 * 18, "certificate_for": 18}
+
+
 def test_sample_cloud_deterministic():
     spec = integrator_spec()
     poly = spec.forward_polytope(np.zeros(2))
