@@ -122,13 +122,17 @@ def build_model(cfg: dict):
 
 
 def build_certificate(cfg: dict) -> TrackingCertificate:
-    return TrackingCertificate(
+    values = dict(
         e0=_number(cfg, "certificate.e0"),
         lipschitz_e=_number(cfg, "certificate.lipschitz_e", 0.0),
         lipschitz_pi=_number(cfg, "certificate.lipschitz_pi", 1.0),
         lipschitz_psi=_number(cfg, "certificate.lipschitz_psi", 1.0),
         lipschitz_k=_number(cfg, "certificate.lipschitz_k", 1.0),
     )
+    try:
+        return TrackingCertificate(**values)
+    except ValueError as exc:
+        raise ConfigError("certificate", str(exc)) from exc
 
 
 def build_constraints(cfg: dict) -> ConstraintSet:

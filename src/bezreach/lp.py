@@ -6,17 +6,23 @@ their polygon.  Every LP first rescales its rows to unit normals, drops
 zero rows and merges parallel duplicates, so its tolerances are
 distances and its verdicts do not depend on how the rows are scaled.
 
-Phase one finds the deepest point of the set (its Chebyshev centre,
-depth capped at 1) by solving the dual of that LP on an (n+2)-row
-tableau; the set is empty when the depth is below -5e-8 (over the
-longest caller row when that is longer than 1).  The deepest point is
-`feasible`'s witness, and phase two starts from it with every slack
-basic, so `feasible`, `maximize` and `bounding_box` share one verdict.
-Pricing is Dantzig's (most negative reduced cost), with Bland's rule
-while the objective stalls on degenerate pivots, so no solve cycles;
-one vectorized rank-1 update per pivot.  Intended for the small
-problems that show up in polytope queries (n <= 64), where robustness
-matters more than speed.
+Every LP is solved in the dual.  The deepest point of the set (its
+Chebyshev centre, depth capped at 1) comes from the dual of that LP on
+an (n+2)-row tableau; the set is empty when the depth is below -5e-8
+(over the longest caller row when that is longer than 1).  The deepest
+point is `feasible`'s witness and decides every verdict, so `feasible`,
+`maximize` and `bounding_box` agree.  An extreme max c.x of a nonempty
+set is its dual min b.y subject to A^T y = c, y >= 0, on an (n+1)-row
+tableau with a phase one over n artificial columns; the maximizer is
+read from their simplex multipliers.  `bounding_boxes` stacks the
+tableaus of many sets, padded to the widest with zero columns, and
+pivots them together: one run for all deepest points, one phase one
+and one phase two for all 2n extremes of every set.  Pricing is
+Dantzig's (most negative reduced cost), with Bland's rule while the
+objective stalls on degenerate pivots, so no solve cycles; one
+vectorized rank-1 update per pivot, and a stacked LP takes the pivots
+it would take alone.  Intended for the small problems that show up in
+polytope queries (n <= 64), where robustness matters more than speed.
 """
 
 from __future__ import annotations
@@ -33,6 +39,8 @@ _THETA = 5e-8
 _WITNESS_TOL = 1e-7
 # Degenerate pivots in a row before pricing falls back to Bland's rule.
 _STALL = 8
+# LPs per stacked simplex run, which bounds the memory of a batched pass.
+_BLOCK = 256
 # Outward shift of the rows `reduce_2d` keeps; a 2-D set empty by less gets a polygon.
 _PAD = 1e-9
 # Angular sectors whose tightest rows form `reduce_2d`'s outer polygon.
@@ -97,10 +105,36 @@ def _pivot(T: np.ndarray, basis: np.ndarray, row: int, col: int) -> None:
     basis[row] = col
 
 
-def _bland(reduced: np.ndarray) -> int | None:
-    """Bland's rule: the first column with a negative reduced cost."""
-    enter = np.flatnonzero(reduced < -TOL)
-    return int(enter[0]) if enter.size else None
+def _pivot_batch(T: np.ndarray, basis: np.ndarray, rows, cols) -> None:
+    """`_pivot` on every tableau of the stack T, each on its own (row,
+    col), with the same arithmetic, so each changes bit for bit as it
+    would alone."""
+    at = np.arange(T.shape[0])
+    prow = T[at, rows]
+    prow /= prow[at, cols][:, None]
+    T[at, rows] = prow
+    f = T[at, :, cols]
+    f[np.abs(f) <= 1e-14] = 0.0
+    f[at, rows] = 0.0
+    T -= np.einsum("ki,kj->kij", f, prow)
+    basis[at, rows] = cols
+
+
+def _bland(reduced: np.ndarray) -> np.ndarray:
+    """Bland's rule along the last axis: the first column with a negative
+    reduced cost, or column 0 when none is negative."""
+    return np.argmax(reduced < -TOL, axis=-1)
+
+
+def _leaving(col: np.ndarray, rhs: np.ndarray, basis: np.ndarray):
+    """Pivot row and step along the last axis: the smallest ratio
+    rhs / col over the entries col > TOL, ties within 1e-12 going to the
+    smallest basis index.  The step is inf when no entry qualifies (the
+    entering column is unbounded)."""
+    ratio = np.divide(rhs, col, out=np.full_like(rhs, np.inf), where=col > TOL)
+    step = ratio.min(axis=-1, keepdims=True)
+    row = np.where(ratio <= step + 1e-12, basis, np.inf).argmin(axis=-1)
+    return row, step[..., 0]
 
 
 def _simplex(T: np.ndarray, basis: np.ndarray, ncols: int, limit: int) -> str:
@@ -116,20 +150,58 @@ def _simplex(T: np.ndarray, basis: np.ndarray, ncols: int, limit: int) -> str:
     stalled = 0
     for _ in range(limit):
         reduced = T[-1, :ncols]
-        enter = int(np.argmin(reduced)) if stalled < _STALL else _bland(reduced)
-        if enter is None or reduced[enter] >= -TOL:
+        enter = int(reduced.argmin() if stalled < _STALL else _bland(reduced))
+        if reduced[enter] >= -TOL:
             return "optimal"
-        col = T[:m, enter]
-        rows = np.flatnonzero(col > TOL)
-        if rows.size == 0:
+        row, step = _leaving(T[:m, enter], T[:m, -1], basis)
+        if step == np.inf:
             return "unbounded"
-        # Smallest ratio, ties broken by smallest basis index.
-        ratio = T[rows, -1] / col[rows]
-        step = ratio.min()
-        ties = rows[ratio <= step + 1e-12]
-        _pivot(T, basis, int(ties[np.argmin(basis[ties])]), enter)
+        _pivot(T, basis, int(row), enter)
         stalled = stalled + 1 if step <= 1e-12 else 0
     raise IterationLimitError("simplex iteration limit reached")
+
+
+def _simplex_batch(T: np.ndarray, basis: np.ndarray, ncols: int, limit) -> np.ndarray:
+    """`_simplex` on a stack of tableaus T (B, rows, cols) with bases
+    (B, rows - 1) and per-LP pivot limits, all LPs pivoting together
+    until each is done.  Every LP takes the pivots it would take alone.
+    Returns the (B,) flags of the unbounded LPs.
+
+    The LPs still running pivot in place in a compact stack, which is
+    copied back to T and shrunk whenever some of them finish.
+    """
+    m = T.shape[1] - 1
+    limit = np.broadcast_to(limit, T.shape[:1])
+    unbounded = np.zeros(T.shape[0], dtype=bool)
+    live = at = np.arange(T.shape[0])
+    sub, sub_basis = T, basis
+    stalled = np.zeros(T.shape[0], dtype=int)
+    pivots, budget = 0, limit.min() if limit.size else 0
+    while live.size:
+        reduced = sub[:, -1, :ncols]
+        enter = reduced.argmin(axis=1)
+        slow = stalled >= _STALL
+        if slow.any():
+            enter[slow] = _bland(reduced[slow])
+        row, step = _leaving(sub[at, :m, enter], sub[:, :m, -1], sub_basis)
+        improving = reduced[at, enter] < -TOL
+        go = improving & (step < np.inf)
+        if not go.all():
+            unbounded[live[improving & ~go]] = True
+            if sub is not T:
+                T[live[~go]] = sub[~go]
+                basis[live[~go]] = sub_basis[~go]
+            live, sub, sub_basis, stalled = live[go], sub[go], sub_basis[go], stalled[go]
+            if not live.size:
+                break
+            at, row, enter, step = at[: live.size], row[go], enter[go], step[go]
+            budget = limit[live].min()
+        if pivots >= budget:
+            raise IterationLimitError("simplex iteration limit reached")
+        _pivot_batch(sub, sub_basis, row, enter)
+        stalled = np.where(step <= 1e-12, stalled + 1, 0)
+        pivots += 1
+    return unbounded
 
 
 def _reduce_rows(A: np.ndarray, b: np.ndarray):
@@ -160,6 +232,43 @@ def _reduce_rows(A: np.ndarray, b: np.ndarray):
     return A[first[keep]], rhs[keep], longest
 
 
+def _complete(T: np.ndarray, basis: np.ndarray, rows, width: int) -> None:
+    """Pivot each of `rows` onto its largest entry among the first
+    `width` columns, at level zero; a row whose entries there are all
+    1e-9 or less is redundant (the rows of A^T have rank below n) and is
+    zeroed, which leaves it out of every later pivot."""
+    for i in rows:
+        j = int(np.argmax(np.abs(T[i, :width])))
+        if abs(T[i, j]) > 1e-9:
+            _pivot(T, basis, i, j)
+        else:
+            T[i] = 0.0
+
+
+def _deepest_tableau(A: np.ndarray, b: np.ndarray, width: int):
+    """Starting tableau and basis of the deepest-point dual (see
+    `_deepest`) of the unit rows A (m, n), with the y columns padded by
+    zero columns to `width` >= m.
+
+    Columns: y, s (at `width`), the identity block, rhs.  The last row
+    is the cost, reduced for s basic in row n.  The basis is completed
+    with y columns at level zero.
+    """
+    m, n = A.shape
+    T = np.zeros((n + 2, width + n + 3))
+    T[:n, :m] = A.T
+    T[n, :m] = 1.0
+    T[n, width] = 1.0
+    T[: n + 1, width + 1 : -1] = np.eye(n + 1)
+    T[n, -1] = 1.0
+    T[-1, :m] = b
+    T[-1, width] = 1.0
+    T[-1] -= T[n]
+    basis = np.full(n + 1, width)
+    _complete(T, basis, range(n), width)
+    return T, basis
+
+
 def _deepest(A: np.ndarray, b: np.ndarray):
     """Unit rows of {A x <= b} and its deepest point, or None if the set
     is empty.
@@ -179,54 +288,93 @@ def _deepest(A: np.ndarray, b: np.ndarray):
     m, n = A.shape
     if m == 0:
         return A, b, np.zeros(n)
-    # Columns: y, s, the identity block, rhs.  The last row is the cost,
-    # reduced for s basic in row n.
-    T = np.zeros((n + 2, m + n + 3))
-    T[:n, :m] = A.T
-    T[n, : m + 1] = 1.0
-    T[: n + 1, m + 1 : -1] = np.eye(n + 1)
-    T[n, -1] = 1.0
-    T[-1, :m] = b
-    T[-1, m] = 1.0
-    T[-1] -= T[n]
-    basis = np.full(n + 1, m)
-    # Complete the basis with y columns at level zero; a row with no
-    # pivot is redundant (A has rank below n) and is dropped.
-    kept = []
-    for i in range(n):
-        j = int(np.argmax(np.abs(T[i, :m])))
-        if abs(T[i, j]) > 1e-9:
-            _pivot(T, basis, i, j)
-            kept.append(i)
-    T, basis = T[kept + [n, n + 1]], basis[kept + [n]]
+    T, basis = _deepest_tableau(A, b, m)
     _simplex(T, basis, m + 1, 200 + 50 * (m + n))
     if T[-1, -1] > _THETA / max(1.0, longest):
         return None
     return A, b, -T[-1, m + 1 : m + 1 + n]
 
 
-def _phase_two(A: np.ndarray, b: np.ndarray, x: np.ndarray, c: np.ndarray):
-    """Maximize c^T x' over {A x' <= b} from a point x of the set.
+def _deepest_all(polys: list) -> list:
+    """`_deepest` of each polytope (all of one dimension n), bit for bit,
+    from stacked tableaus: one `_simplex_batch` per block of _BLOCK
+    sets, padded to the block's widest set."""
+    out = [None] * len(polys)
+    todo = []
+    for i, P in enumerate(polys):
+        rows = _reduce_rows(P.A, P.b)
+        if rows is not None and rows[0].shape[0] == 0:
+            out[i] = rows[0], rows[1], np.zeros(P.dim)
+        elif rows is not None:
+            todo.append((i, *rows))
+    for start in range(0, len(todo), _BLOCK):
+        block = todo[start : start + _BLOCK]
+        width = max(A.shape[0] for _, A, _, _ in block)
+        tableaus = [_deepest_tableau(A, b, width) for _, A, b, _ in block]
+        T = np.stack([t for t, _ in tableaus])
+        basis = np.stack([v for _, v in tableaus])
+        limit = np.array([200 + 50 * sum(A.shape) for _, A, _, _ in block])
+        _simplex_batch(T, basis, width + 1, limit)
+        for (i, A, b, longest), t in zip(block, T):
+            if t[-1, -1] <= _THETA / max(1.0, longest):
+                out[i] = A, b, -t[-1, width + 1 : width + 1 + A.shape[1]]
+    return out
 
-    The tableau is over the step z = z+ - z- from x, on rows shifted to
-    max(b - A x, 0) >= 0, so every slack starts basic.  Returns the
-    optimal x', or None when c^T x' is unbounded.
+
+def _extremes(sets: list, C: np.ndarray):
+    """max c.x over each set for each row c of C (D, n), as the dual
+    min b.y subject to A^T y = c, y >= 0.
+
+    `sets` holds `_deepest` results (A, b, x*) of nonempty sets of
+    dimension n; each row is relaxed to max(b, A x*), so a set empty by
+    less than the emptiness threshold still has its extremes.  All LPs
+    of a block of _BLOCK share one phase one and one phase two on
+    stacked (n+1)-row tableaus: columns y (padded to the block's widest
+    set), n artificial columns, rhs; a row whose c entry is negative is
+    negated, so the artificials start basic.  A dual that phase one
+    leaves infeasible is an unbounded primal (+inf).  The maximizers
+    are the simplex multipliers, read from the artificial columns.
+    Returns the values (len(sets), D) and maximizers (len(sets), D, n).
     """
-    m, n = A.shape
-    T = np.zeros((m + 1, 2 * n + m + 1))
-    T[:m, :n] = A
-    T[:m, n : 2 * n] = -A
-    T[:m, 2 * n : -1] = np.eye(m)
-    T[:m, -1] = np.maximum(b - A @ x, 0.0)
-    # maximize c^T z == minimize -c^T (z+ - z-); the slacks cost nothing.
-    T[-1, :n] = -c
-    T[-1, n : 2 * n] = c
-    basis = 2 * n + np.arange(m)
-    if _simplex(T, basis, T.shape[1] - 1, 400 + 100 * (m + n)) == "unbounded":
-        return None
-    vals = np.zeros(T.shape[1] - 1)
-    vals[basis] = T[:-1, -1]
-    return x + vals[:n] - vals[n : 2 * n]
+    D, n = C.shape
+    sign = np.where(C < 0.0, -1.0, 1.0)
+    values = np.full((len(sets), D), np.inf)
+    points = np.full((len(sets), D, n), np.nan)
+    per_block = max(1, _BLOCK // D)
+    for start in range(0, len(sets), per_block):
+        block = sets[start : start + per_block]
+        width = max(1, max(A.shape[0] for A, _, _ in block))
+        T = np.zeros((len(block), D, n + 1, width + n + 1))
+        cost = np.zeros((len(block), width + n + 1))
+        for k, (A, b, x) in enumerate(block):
+            T[k, :, :n, : A.shape[0]] = A.T
+            cost[k, : A.shape[0]] = np.maximum(b, A @ x)
+        T[:, :, :n, :width] *= sign[None, :, :, None]
+        T[:, :, :n, width:-1] = np.eye(n)
+        T[:, :, :n, -1] = np.abs(C)
+        # Phase one minimizes the sum of the artificials.
+        T[:, :, -1, :width] = -T[:, :, :n, :width].sum(axis=2)
+        T[:, :, -1, -1] = -np.abs(C).sum(axis=1)
+        T = T.reshape(-1, n + 1, width + n + 1)
+        cost = np.repeat(cost, D, axis=0)
+        basis = np.tile(width + np.arange(n), (T.shape[0], 1))
+        limit = np.repeat([200 + 50 * (A.shape[0] + n) for A, _, _ in block], D)
+        _simplex_batch(T, basis, width, limit)
+        ok = np.flatnonzero(T[:, -1, -1] >= -TOL)
+        T, basis, cost, limit = T[ok], basis[ok], cost[ok], limit[ok]
+        # Phase one left any basic artificial at level zero, within TOL:
+        # set it to zero and pivot it out, or zero its row if redundant.
+        for k in np.flatnonzero(np.any(basis >= width, axis=1)):
+            rows = np.flatnonzero(basis[k] >= width)
+            T[k, rows, -1] = 0.0
+            _complete(T[k], basis[k], rows, width)
+        T[:, -1] = cost - np.einsum("ki,kij->kj", np.take_along_axis(cost, basis, 1), T[:, :n])
+        if _simplex_batch(T, basis, width, limit).any():
+            raise WitnessError("dual simplex unbounded over a nonempty set")
+        k, d = np.divmod(ok, D)
+        values[start + k, d] = -T[:, -1, -1]
+        points[start + k, d] = -T[:, -1, width:-1] * sign[d]
+    return values, points
 
 
 def feasible(poly: Polytope) -> np.ndarray | None:
@@ -250,9 +398,10 @@ def maximize(poly: Polytope, c) -> LPResult:
     out = _deepest(poly.A, poly.b)
     if out is None:
         return LPResult("infeasible")
-    x = _phase_two(*out, c)
-    if x is None:
+    values, points = _extremes([out], (c / (np.abs(c).max() or 1.0))[None])
+    if values[0, 0] == np.inf:
         return LPResult("unbounded")
+    x = points[0, 0]
     return LPResult("optimal", x=x, value=float(c @ x))
 
 
@@ -409,26 +558,35 @@ def _proper(verts: np.ndarray) -> bool:
     return np.count_nonzero(edges >= 1e-12) >= 3
 
 
-def bounding_box(poly: Polytope):
-    """Per-coordinate (lo, hi) bounds; entries are +-inf when unbounded.
+def bounding_boxes(polys: list) -> list:
+    """Per-coordinate (lo, hi) bounds of each polytope, or None for an
+    empty one; entries are +-inf where a set is unbounded.
 
-    Returns None if the polytope is empty.  A bounded 2-D set takes the
-    extremes of its polygon's vertices; anything else runs one phase one
-    and a phase two per coordinate direction from its deepest point.
+    A bounded 2-D set takes the extremes of its polygon's vertices.
+    Every other set goes through one batched pass per dimension: the
+    deepest points of all sets (`_deepest_all`) give the verdicts, then
+    the 2n extremes +-e_k of every nonempty set are solved together as
+    duals (`_extremes`).
     """
-    if poly.dim == 2 and poly.vertices is None:
-        poly = reduce_2d(poly)
-    if poly.vertices is not None:
-        if poly.vertices.shape[0] == 0:
-            return None
-        return poly.vertices.min(axis=0), poly.vertices.max(axis=0)
-    out = _deepest(poly.A, poly.b)
-    if out is None:
-        return None
-    n = poly.dim
-    # Extremes along +e_1..+e_n, then -e_1..-e_n, each from the deepest point.
-    ext = np.empty(2 * n)
-    for k, c in enumerate(np.vstack([np.eye(n), -np.eye(n)])):
-        x = _phase_two(*out, c)
-        ext[k] = np.inf if x is None else c @ x
-    return -ext[n:], ext[:n]
+    boxes = [None] * len(polys)
+    rest: dict[int, list] = {}
+    for i, P in enumerate(polys):
+        if P.dim == 2 and P.vertices is None:
+            P = reduce_2d(P)
+        if P.vertices is None:
+            rest.setdefault(P.dim, []).append((i, P))
+        elif P.vertices.shape[0]:
+            boxes[i] = P.vertices.min(axis=0), P.vertices.max(axis=0)
+    for n, group in rest.items():
+        deep = _deepest_all([P for _, P in group])
+        live = [(i, d) for (i, _), d in zip(group, deep) if d is not None]
+        if live:
+            values, _ = _extremes([d for _, d in live], np.vstack([np.eye(n), -np.eye(n)]))
+            for (i, _), v in zip(live, values):
+                boxes[i] = -v[n:], v[:n]
+    return boxes
+
+
+def bounding_box(poly: Polytope):
+    """`bounding_boxes` of the one polytope."""
+    return bounding_boxes([poly])[0]

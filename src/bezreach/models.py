@@ -166,7 +166,12 @@ def pendulum_energy_controller(
 @dataclass(frozen=True)
 class TrackingCertificate:
     """Affine tracking-error bound e(u) = e0 + L_e * ||u|| plus the
-    interface Lipschitz constants of the surrounding layer maps."""
+    interface Lipschitz constants of the surrounding layer maps.
+
+    The tracker (`sim.tracker_input`) passes the planning input u_d
+    through with gain 1, so the input row that charges ||u_d|| with
+    L_k is sound only for L_k >= 1.
+    """
 
     e0: float
     lipschitz_e: float
@@ -177,6 +182,12 @@ class TrackingCertificate:
     def __post_init__(self):
         if self.e0 < 0 or self.lipschitz_e < 0:
             raise ValueError("error bound parameters must be nonnegative")
+        # Written so that a NaN fails it too.
+        if not self.lipschitz_k >= 1.0:
+            raise ValueError(
+                f"lipschitz_k={self.lipschitz_k} is below 1, the gain with which "
+                "the tracker passes the planning input through"
+            )
 
     def error_bound(self, u_norm):
         """e(u) for an input norm, or elementwise for an array of them."""
@@ -184,7 +195,7 @@ class TrackingCertificate:
 
     @staticmethod
     def exact() -> "TrackingCertificate":
-        return TrackingCertificate(0.0, 0.0, 1.0, 1.0, 0.0)
+        return TrackingCertificate(0.0, 0.0, 1.0, 1.0, 1.0)
 
 
 @dataclass(frozen=True)

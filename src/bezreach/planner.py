@@ -157,7 +157,7 @@ def build_graph(vertices: np.ndarray, spec: ReachSpec, seed: int = 0) -> ReachGr
         # Stacked (lo, hi) boxes, forward sets first; an empty set's box
         # (+inf, -inf) overlaps no bounded box.
         empty = (np.full(vertices.shape[1], np.inf), np.full(vertices.shape[1], -np.inf))
-        lo, hi = np.array([lp.bounding_box(P) or empty for P in fwd + bwd]).transpose(1, 0, 2)
+        lo, hi = np.array([box or empty for box in lp.bounding_boxes(fwd + bwd)]).transpose(1, 0, 2)
         overlap = np.all((lo[:V, None] <= hi[None, V:] + 1e-9)
                          & (lo[None, V:] <= hi[:V, None] + 1e-9), axis=2)
         for i, j in np.argwhere(~has_common & overlap).tolist():

@@ -9,6 +9,7 @@ Membership always comes with a constructive witness curve.
 
 from __future__ import annotations
 
+from collections import OrderedDict
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -27,6 +28,9 @@ from .constraints import (
 from .models import ConstraintSet, PlanningModel, TrackingCertificate, rk4
 
 REFERENCE_POLICIES = ("fixed", "drift")
+# Certificates a spec keeps, least recently used first out: both
+# directions of a 1,000-vertex graph build.
+CACHE_SIZE = 2048
 
 
 @dataclass
@@ -38,6 +42,8 @@ class ReachSpec:
     backward definitions are exact duals).  Policy "drift" re-anchors
     each query at samples of the drift flow from the query point, which
     trades duality for much less conservatism on swinging trajectories.
+    Certificates are cached per anchor and direction, at most CACHE_SIZE
+    of them; an evicted one is rebuilt, identically, when asked for.
     """
 
     model: PlanningModel
@@ -51,7 +57,7 @@ class ReachSpec:
     q_gamma_bound: float | None = None
     _D: np.ndarray = field(init=False, repr=False)
     _D_pinv: np.ndarray = field(init=False, repr=False)
-    _cache: dict = field(init=False, repr=False, default_factory=dict)
+    _cache: OrderedDict = field(init=False, repr=False, default_factory=OrderedDict)
 
     def __post_init__(self):
         if self.reference_policy not in REFERENCE_POLICIES:
@@ -110,12 +116,19 @@ class ReachSpec:
         anchors = np.atleast_2d(np.asarray(anchors, dtype=float))
         drift = self.reference_policy == "drift"
         keys = [(direction, a.tobytes()) if drift else None for a in anchors]
-        new = {key: a for key, a in zip(keys, anchors) if key not in self._cache}
+        found = {}
+        for key in keys:
+            if key in self._cache:
+                self._cache.move_to_end(key)
+                found[key] = self._cache[key]
+        new = {key: a for key, a in zip(keys, anchors) if key not in found}
         if new:
             refs = self.references(np.array(list(new.values())), direction)
             for key, r in zip(new, refs):
-                self._cache[key] = self.certificate_for(r)
-        return [self._cache[key] for key in keys]
+                found[key] = self._cache[key] = self.certificate_for(r)
+                if len(self._cache) > CACHE_SIZE:
+                    self._cache.popitem(last=False)
+        return [found[key] for key in keys]
 
     def certificate(self, anchor: np.ndarray, direction: str = "forward") -> CertificatePolytope:
         return self.certificates(np.asarray(anchor, dtype=float)[None], direction)[0]

@@ -11,6 +11,7 @@ import json
 import time
 
 import numpy as np
+import pytest
 
 from bezreach import cli, lp, planner, sim
 from bezreach.bezier import (
@@ -203,6 +204,34 @@ def test_certified_curves_survive_disturbed_rollouts():
                       disturbance_scale=10.0)
     assert res.violation
     assert time.perf_counter() - start < 300.0
+
+
+def test_boundary_curves_keep_the_input_bound_at_unit_tracker_gain():
+    """Curves on the boundary of the sweep's certificate, rolled out with
+    no disturbance, meet every constraint at L_k = 1.  The input row
+    charges ||u_d|| with L_k, and the tracker passes u_d through with
+    gain 1, so at L_k = 0.5 some of these curves exceed u_max; such a
+    certificate is refused before any set is built."""
+    model = pendulum_model(0.1, 1.0, 9.81)
+    cs = ConstraintSet(BOX_C, PEND_D, u_max=5.0)
+    cert = TrackingCertificate(0.01, 0.0, 1.0, 1.0, 1.0)
+    T = 0.3
+    spec = ReachSpec(model, cert, cs, order=3, horizon=T, refinement=4,
+                     reference_policy="fixed", x_ref=np.array([np.pi, 0.0]),
+                     q_gamma_bound=70.0)
+    cpoly = spec.certificate(np.zeros(2))
+    v0 = np.full(4, np.pi)
+    rng = np.random.default_rng(3)
+    margins = []
+    for _ in range(300):
+        v = _ray_point(cpoly.F, cpoly.G, v0, rng.normal(size=4), 1.0)
+        traj = PlannedTrajectory([BezierCurve(T, v[None, :].copy())], gamma=2)
+        res = sim.rollout(model, traj, cs, cert, disturbance="zero")
+        assert not res.violation
+        margins.append(min(res.state_margin.min(), res.input_margin.min()))
+    assert min(margins) > 0.0
+    with pytest.raises(ValueError, match="lipschitz_k"):
+        TrackingCertificate(0.01, 0.0, 1.0, 1.0, 0.5)
 
 
 # -- 5: exactness on the double integrator ------------------------------------

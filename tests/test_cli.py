@@ -205,6 +205,16 @@ def test_plan_small_integrator_graph(tmp_path):
     assert json.loads((out / "summary.json").read_text())["monitor_passed"] is True
 
 
+@pytest.mark.parametrize("command", ["reach", "plan", "simulate"])
+def test_tracker_gain_below_one_is_a_config_error(tmp_path, capsys, command):
+    doc = json.loads(json.dumps(INTEGRATOR_PLAN))
+    doc["certificate"]["lipschitz_k"] = 0.5
+    cfg = write_config(tmp_path, doc)
+    assert cli.main([command, "--config", cfg, "--out", str(tmp_path / "o")]) == 2
+    err = capsys.readouterr().err
+    assert "certificate" in err and "lipschitz_k=0.5" in err
+
+
 def test_plan_edge_rule_is_a_config_error(tmp_path, capsys):
     # The one-horizon "forward" edge test is gone; a config that still
     # names a rule must not run silently with another one.

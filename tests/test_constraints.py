@@ -47,11 +47,18 @@ def box_constraints(lo, hi, u_max):
 # -- input row -------------------------------------------------------------
 
 
-def test_input_row_zero_gain_vacuous():
-    cert = TrackingCertificate(0.0, 0.0, 1.0, 1.0, 0.0)
-    row = input_bound_row(cert, np.zeros(2), u_max=3.0)
+def test_tracker_gain_below_one_is_refused():
+    # The tracker passes u_d through with gain 1, so an input row that
+    # charges ||u_d|| with L_k < 1 would accept curves that exceed u_max.
+    for lipschitz_k in (0.0, 0.3, 0.5, 0.999, float("nan")):
+        with pytest.raises(ValueError, match="lipschitz_k"):
+            TrackingCertificate(0.0, 0.0, 1.0, 1.0, lipschitz_k)
+
+
+def test_exact_tracking_charges_the_feedforward():
+    row = input_bound_row(TrackingCertificate.exact(), np.zeros(2), u_max=3.0)
     assert np.allclose(row.a1, 0.0)
-    assert row.a2 == 0.0 and row.a3 == 0.0
+    assert row.a2 == 2.0 and row.a3 == 1.0
     assert np.isclose(row.b, 3.0)
 
 

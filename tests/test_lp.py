@@ -860,3 +860,141 @@ def test_outer_filter_keeps_swingup_build_reductions(monkeypatch):
     for poly in inputs:
         assert_same_reduction(poly)
     assert calls == {"filtered": len(inputs), "declined": 0}
+
+
+# -- batched box pass ----------------------------------------------------------
+
+
+def drift_pair_polytope():
+    """Forward set of a 4-D drift certificate (a decoupled pendulum pair,
+    k = 4): 832 rows, 476 after merging."""
+    from bezreach.models import ConstraintSet, PlanningModel, TrackingCertificate
+    from bezreach.reachability import ReachSpec
+
+    pair = PlanningModel(gamma=2, m=2, f_d=lambda x: 9.81 * np.sin(x[..., :2]),
+                         g_d=lambda x: 10.0 * np.eye(2), lipschitz_f=9.81,
+                         lipschitz_ginv=0.0, name="pendulum-pair")
+    hi = np.array([1.0, 1.0, 3.0, 3.0])
+    cs = ConstraintSet(np.vstack([np.eye(4), -np.eye(4)]), np.r_[hi, hi], u_max=5.0)
+    spec = ReachSpec(pair, TrackingCertificate(0.005, 0.0, 1.0, 1.0, 1.0), cs, order=3,
+                     horizon=0.3, refinement=4, reference_policy="drift",
+                     q_gamma_bound=60.0)
+    return spec.forward_polytope(np.array([0.2, -0.1, 0.3, 0.1]))
+
+
+def mixed_batch():
+    """3-D and 4-D sets in one list: random plain, boxed and degenerate
+    sets (some empty, some unbounded), rank-deficient sets (rows in the
+    first n - 1 coordinates), sets whose second column is nonpositive
+    with some zeros (their dual phase one can end with an artificial at
+    level zero in a row with entries), a set with no rows, a single
+    point, and the drift set."""
+    rng = np.random.default_rng(61)
+    sets = [random_polytope_nd(rng, 3 + t % 2, int(rng.integers(4, 16))) for t in range(90)]
+    for n in (3, 4):
+        for t in range(6):
+            poly = random_polytope_nd(rng, n, int(rng.integers(3, 10)), kind=t % 3)
+            A = poly.A.copy()
+            A[:, -1] = 0.0
+            sets.append(lp.Polytope(A, poly.b))
+            A = rng.normal(size=(int(rng.integers(n + 2, 12)), n))
+            A[:, 1] = -np.abs(A[:, 1]) * (rng.random(A.shape[0]) < 0.4)
+            sets.append(lp.Polytope(A, rng.uniform(0.1, 2.0, size=A.shape[0])))
+        sets.append(lp.Polytope(np.zeros((2, n)), np.array([0.0, 1.0])))
+        point = rng.uniform(-1.0, 1.0, n)
+        sets.append(lp.Polytope(np.vstack([np.eye(n), -np.eye(n)]), np.r_[point, -point]))
+    sets.append(drift_pair_polytope())
+    return sets
+
+
+def test_bounding_boxes_match_linprog_on_a_mixed_batch(linprog, max_margin):
+    sets = mixed_batch()
+    assert sets[-1].A.shape == (832, 4)
+    assert lp._reduce_rows(sets[-1].A, sets[-1].b)[0].shape[0] == 476
+    boxes = lp.bounding_boxes(sets)
+    kinds = {"empty": 0, "unbounded": 0, "bounded": 0}
+    for poly, box in zip(sets, boxes):
+        n = poly.dim
+        sure = abs(max_margin(poly.A, poly.b)) > 1e-6
+        tol = 1e-7 if sure else 1e-6
+        free = [(None, None)] * n
+        refs = [linprog(-sign * e, A_ub=poly.A, b_ub=poly.b, bounds=free, method="highs")
+                for sign in (1.0, -1.0) for e in np.eye(n)]
+        if sure:
+            assert (box is None) == (refs[0].status == 2)
+        if box is None:
+            kinds["empty"] += 1
+            continue
+        for got, ref, sign in zip(np.r_[box[1], box[0]], refs, np.repeat([1.0, -1.0], n)):
+            if ref.status == 3:
+                assert got == sign * np.inf
+            elif ref.status == 0:
+                assert abs(got + sign * ref.fun) <= tol * max(1.0, abs(ref.fun))
+        kinds["unbounded" if np.isinf(np.r_[box]).any() else "bounded"] += 1
+    assert min(kinds.values()) >= 15, kinds
+
+
+def test_bounding_boxes_equal_a_per_set_loop():
+    sets = mixed_batch()
+    for poly, box in zip(sets, lp.bounding_boxes(sets)):
+        one = lp.bounding_box(poly)
+        assert (box is None) == (one is None)
+        if box is not None:
+            for u, v in zip(box, one):
+                assert np.array_equal(np.isinf(u), np.isinf(v))
+                fin = np.isfinite(u)
+                assert np.all(np.abs(u[fin] - v[fin]) <= 1e-12)
+
+
+def test_batched_deepest_points_equal_scalar_ones():
+    sets = mixed_batch()
+    empty = 0
+    for n in (3, 4):
+        group = [P for P in sets if P.dim == n]
+        for poly, got in zip(group, lp._deepest_all(group)):
+            want = lp._deepest(poly.A, poly.b)
+            assert (got is None) == (want is None)
+            empty += got is None
+            if got is not None:
+                assert all(np.array_equal(g, w) for g, w in zip(got, want))
+    assert empty >= 10
+
+
+def test_pivot_batch_is_bit_identical_to_pivot():
+    rng = np.random.default_rng(13)
+    T = rng.normal(size=(20, 9, 14))
+    T[rng.random(T.shape) < 0.3] = 0.0
+    T[np.arange(20), rng.integers(9, size=20)] *= 1e-15  # rows under the skip threshold
+    basis = np.tile(np.arange(8), (20, 1))
+    rows, cols = rng.integers(8, size=20), rng.integers(13, size=20)
+    T[np.arange(20), rows, cols] = rng.uniform(0.5, 2.0, size=20)
+    want, want_basis = T.copy(), basis.copy()
+    for k, (r, c) in enumerate(zip(rows, cols)):
+        lp._pivot(want[k], want_basis[k], int(r), int(c))
+    lp._pivot_batch(T, basis, rows, cols)
+    assert np.array_equal(T, want) and np.array_equal(basis, want_basis)
+
+
+def test_beale_cycling_lp_terminates_inside_a_batch(monkeypatch, linprog):
+    """Beale's LP next to an unbounded LP and an optimal one in one
+    stack: the batched loop takes the Bland fallback for it and ends
+    each LP as the scalar loop does."""
+    A, T, basis = beale_tableau()
+    ref = linprog(T[-1, :4], A_ub=A, b_ub=T[:3, -1], method="highs")
+    unbounded, optimal = T.copy(), T.copy()
+    unbounded[-1, :4] = [0.0, -1.0, 0.0, 0.0]
+    optimal[-1, :4] = [1.0, 1.0, 1.0, 1.0]
+    stack = np.stack([unbounded, T, optimal])
+    bases = np.tile(basis, (3, 1))
+    calls = counting_bland(monkeypatch)
+    assert lp._simplex_batch(stack, bases, 7, 100).tolist() == [True, False, False]
+    assert abs(stack[1, -1, -1] + ref.fun) <= 1e-12 and calls
+    for k, tableau in enumerate((unbounded, T, optimal)):
+        status = lp._simplex(tableau, basis.copy(), 7, 100)
+        assert status == ("unbounded" if k == 0 else "optimal")
+        assert np.array_equal(stack[k], tableau)
+    # Without the fallback, Dantzig pricing cycles inside the batch too.
+    monkeypatch.setattr(lp, "_STALL", 10**9)
+    _, T, basis = beale_tableau()
+    with pytest.raises(lp.IterationLimitError):
+        lp._simplex_batch(np.stack([T, T]), np.tile(basis, (2, 1)), 7, 100)

@@ -208,6 +208,74 @@ def test_4d_feasibility_lps_stay_within_pivot_budget(monkeypatch):
     assert counts["calls"] == 40 and counts["pivots"] <= 800, counts
 
 
+def primal_bounding_box(poly):
+    """Reference box: one primal phase two per direction from the deepest
+    point, on an (m+1)-row tableau over the step from it with every
+    slack basic, as the library computed boxes before the batched dual."""
+    out = lp._deepest(poly.A, poly.b)
+    if out is None:
+        return None
+    A, b, x = out
+    m, n = A.shape
+    ext = []
+    for c in np.vstack([np.eye(n), -np.eye(n)]):
+        T = np.zeros((m + 1, 2 * n + m + 1))
+        T[:m, :n], T[:m, n : 2 * n], T[:m, 2 * n : -1] = A, -A, np.eye(m)
+        T[:m, -1] = np.maximum(b - A @ x, 0.0)
+        T[-1, :n], T[-1, n : 2 * n] = -c, c
+        basis = 2 * n + np.arange(m)
+        if lp._simplex(T, basis, T.shape[1] - 1, 400 + 100 * (m + n)) == "unbounded":
+            ext.append(np.inf)
+            continue
+        vals = np.zeros(T.shape[1] - 1)
+        vals[basis] = T[:-1, -1]
+        ext.append(c @ (x + vals[:n] - vals[n : 2 * n]))
+    return -np.array(ext[n:]), np.array(ext[:n])
+
+
+def dint4d_fixed_vertices(seed):
+    """The vertices of the `dint4d-fixed` benchmark workload at run seed
+    `seed` (its spec is `dint4d_spec`)."""
+    verts = sample_vertices((-0.5 * np.ones(4), 0.5 * np.ones(4)), 5, seed=3)
+    return verts + np.random.default_rng(seed).uniform(-0.01, 0.01, size=verts.shape)
+
+
+def test_batched_boxes_keep_4d_graphs_byte_identical(monkeypatch):
+    """The 4-D benchmark and oracle graphs have the same edge keys and
+    witness bytes as with per-set primal boxes."""
+    spec = dint4d_spec()
+    cases = [dint4d_fixed_vertices(seed) for seed in range(3)]
+    cases += [dint4d_vertices(seed) for seed in range(3)]
+    graphs = [build_graph(verts, spec) for verts in cases]
+    monkeypatch.setattr(lp, "bounding_boxes",
+                        lambda polys: [primal_bounding_box(P) for P in polys])
+    for verts, graph in zip(cases, graphs):
+        ref = build_graph(verts, spec)
+        assert sorted(graph.edges) == sorted(ref.edges)
+        assert all(graph.edges[k].tobytes() == w.tobytes() for k, w in ref.edges.items())
+    assert [len(g.edges) for g in graphs] == [24, 24, 23, 10, 13, 15]
+
+
+def test_box_pass_is_three_batched_runs_whatever_the_vertex_count(monkeypatch):
+    """A 4-D build solves every box in three batched simplex runs
+    (deepest points, dual phase one, dual phase two) while its box LPs
+    fit one block, and runs the scalar simplex only for its pair LPs."""
+    spec = dint4d_spec()
+    spec.cs.bounding_box()  # the state box, solved once per constraint set
+    runs, scalar = [], []
+    real_batch, real_simplex = lp._simplex_batch, lp._simplex
+    monkeypatch.setattr(lp, "_simplex_batch",
+                        lambda T, *args: runs.append(T.shape[0]) or real_batch(T, *args))
+    monkeypatch.setattr(lp, "_simplex", lambda *args: scalar.append(1) or real_simplex(*args))
+    results = recording_feasible(monkeypatch)
+    for count in (3, 8, 16):
+        assert 16 * count <= lp._BLOCK
+        runs.clear(), scalar.clear(), results.clear()
+        build_graph(sample_vertices((-0.5 * np.ones(4), 0.5 * np.ones(4)), count, seed=5), spec)
+        assert runs == [2 * count, 16 * count, 16 * count], (count, runs)
+        assert len(scalar) == len(results) > 0
+
+
 def small_drift_graph_case():
     """Pendulum, drift policy (k = 4): six energy-pump waypoints from
     hanging plus two samples."""

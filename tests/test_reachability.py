@@ -11,7 +11,7 @@ from bezreach.models import (
     integrator_chain,
     pendulum_model,
 )
-from bezreach.planner import build_graph
+from bezreach.planner import build_graph, extract_trajectory, search
 from bezreach.reachability import ReachSpec, sample_cloud, volume_estimate
 
 
@@ -305,6 +305,37 @@ def test_drift_build_projects_each_norm_row_once(monkeypatch):
     vertices = rng.uniform([np.pi - 0.5, -1.5], [np.pi + 0.5, 1.5], size=(9, 2))
     build_graph(vertices, spec)
     assert counts == {"eigh": 1, "lift_rows": 4 * 18, "certificate_for": 18}
+
+
+def test_certificate_cache_is_bounded_and_rebuilds_identically():
+    spec = pendulum_spec(policy="drift")
+    count = reachability.CACHE_SIZE + 50
+    anchors = np.column_stack([np.linspace(3.0, 3.3, count), np.zeros(count)])
+    certs = spec.certificates(anchors)
+    assert len(certs) == count and len(spec._cache) == reachability.CACHE_SIZE
+    # The first anchors were evicted; asking again rebuilds them.
+    again = spec.certificate(anchors[0])
+    assert again is not certs[0]
+    assert np.array_equal(again.F, certs[0].F) and np.array_equal(again.G, certs[0].G)
+    assert len(spec._cache) == reachability.CACHE_SIZE
+
+
+def test_extraction_after_eviction_matches_an_unbounded_cache(monkeypatch):
+    verts = np.array([[np.pi, 0.0], [np.pi + 0.05, 0.1], [np.pi + 0.1, 0.2],
+                      [np.pi - 0.05, -0.1], [np.pi + 0.15, 0.0]])
+    graphs = []
+    for size in (reachability.CACHE_SIZE, 4):
+        monkeypatch.setattr(reachability, "CACHE_SIZE", size)
+        spec = pendulum_spec(u_max=5.0, refinement=2, policy="drift")
+        graph = build_graph(verts, spec)
+        assert len(spec._cache) == min(size, 2 * len(verts))
+        graphs.append((graph, extract_trajectory(graph, search(graph, 3, 4))))
+    (ref, ref_traj), (graph, traj) = graphs
+    assert sorted(graph.edges) == sorted(ref.edges)
+    assert all(np.array_equal(graph.edges[k], w) for k, w in ref.edges.items())
+    assert len(traj.segments) == len(ref_traj.segments) == 2
+    for seg, ref_seg in zip(traj.segments, ref_traj.segments):
+        assert np.array_equal(seg.points, ref_seg.points)
 
 
 def test_sample_cloud_deterministic():
