@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
@@ -140,8 +139,13 @@ def _subdivision_matrices(p: int, u: float):
     return L, R
 
 
-@lru_cache(maxsize=256)
-def _split_matrices_cached(p: int, k: int):
+def split_matrices(p: int, k: int) -> list[np.ndarray]:
+    """Right multipliers Q_1..Q_k for the uniform k-refinement: the curve
+    with points `points @ Q_i` equals the original restricted to
+    [(i-1)T/k, iT/k], re-parameterized over [0, T]."""
+    _check_order(p)
+    if not isinstance(k, (int, np.integer)) or k < 1:
+        raise ValueError(f"segment count must be an integer >= 1, got {k}")
     mats = []
     for i in range(1, k + 1):
         a = (i - 1) / k
@@ -154,17 +158,7 @@ def _split_matrices_cached(p: int, k: int):
             Lm, _ = _subdivision_matrices(p, u2)
             Q = Q @ Lm
         mats.append(Q)
-    return tuple(m.copy() for m in mats)
-
-
-def split_matrices(p: int, k: int) -> list[np.ndarray]:
-    """Right multipliers Q_1..Q_k for the uniform k-refinement: the curve
-    with points `points @ Q_i` equals the original restricted to
-    [(i-1)T/k, iT/k], re-parameterized over [0, T]."""
-    _check_order(p)
-    if not isinstance(k, (int, np.integer)) or k < 1:
-        raise ValueError(f"segment count must be an integer >= 1, got {k}")
-    return [m.copy() for m in _split_matrices_cached(int(p), int(k))]
+    return mats
 
 
 def boundary_matrix(p: int, gamma: int, T: float) -> np.ndarray:

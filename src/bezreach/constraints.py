@@ -123,15 +123,6 @@ def _psd_projection_2x2(M: np.ndarray) -> np.ndarray:
     return (V * w) @ V.T
 
 
-def _box_vertices(s_max: np.ndarray) -> np.ndarray:
-    s1, s2 = s_max
-    return np.array([[0.0, 0.0], [s1, 0.0], [0.0, s2], [s1, s2]])
-
-
-def _quad_max(M: np.ndarray, N: np.ndarray, verts: np.ndarray) -> float:
-    return float((np.einsum("ij,jk,ik->i", verts, M, verts) + verts @ N).max())
-
-
 def _level_set_radius(
     M_hat: np.ndarray,
     N: np.ndarray,
@@ -141,11 +132,14 @@ def _level_set_radius(
     a1_zero: bool,
 ) -> float:
     """Largest delta with {c^T s <= delta} inside the box implying the
-    quadratic bound s^T M_hat s + N^T s <= b.
+    quadratic bound s^T M_hat s + N^T s <= b, for c = N + M_hat s_max.
 
     With the state term present the containment must survive an
-    unbounded linear offset, which collapses to a vertex maximum.  The
-    pure-norm case has a closed form: on the cut line c^T s = delta,
+    unbounded linear offset, so the radius is b minus the box maximum of
+    s^T M_hat s + (N - c)^T s = s^T M_hat (s - s_max).  That convex
+    quadratic peaks at a box vertex: it is 0 at 0 and at s_max, and
+    -M_hat_01 s_max_0 s_max_1 <= 0 at the other two, so the radius is b.
+    The pure-norm case has a closed form: on the cut line c^T s = delta,
     q(s) = delta + s^T M_hat (s - s_max) <= delta, and q is convex and
     nondecreasing in each coordinate on the box, so its maximum over the
     cut polygon sits at one of the two cut-segment endpoints.  Each
@@ -157,12 +151,11 @@ def _level_set_radius(
     # (nonnegative row coefficients and Lipschitz constants, and the PSD
     # part of a 2x2 matrix with nonnegative entries).
     if not a1_zero:
-        worst = _quad_max(M_hat, N - c, _box_vertices(s_max))
-        return b - worst
+        return b
     if b < 0.0:
         return -np.inf
     cap = float(c @ s_max)
-    if _quad_max(M_hat, N, s_max[None, :]) <= b:
+    if float(s_max @ M_hat @ s_max + N @ s_max) <= b:
         return cap
     radius = cap
     for i, j in ((0, 1), (1, 0)):
@@ -186,18 +179,6 @@ def _level_set_radius(
             radius = min(radius, lo + (-2.0 * gamma / den if den > 0.0 else 0.0))
             break
     return radius
-
-
-@lru_cache(maxsize=64)
-def _sign_pattern(n: int, m: int) -> tuple[np.ndarray, ...]:
-    """(row, i, j, s1, s2) of the 4nm signed-permutation rows, ordered by
-    (i, j, s1, s2) with state index i, input index j and signs s1, s2
-    (+1 before -1); read-only."""
-    i, j, k1, k2 = np.indices((n, m, 2, 2)).reshape(4, -1)
-    pattern = (np.arange(i.size), i, j, 1.0 - 2.0 * k1, 1.0 - 2.0 * k2)
-    for a in pattern:
-        a.flags.writeable = False
-    return pattern
 
 
 def sigma_box(
@@ -245,8 +226,11 @@ def _lift_plan_cached(key: tuple, n: int, m: int, L_f: float, L_G: float):
     """What `lift_rows` derives from the rows (key: a1 bytes, a2, a3, b
     per row) and the model's Lipschitz constants alone, read-only: L and
     h with the linear rows and the sigma-box pattern filled in (each norm
-    row's block holds its a1), and per norm row (index, first row of its
-    block, a1 == 0, a2, a3, b, M_hat)."""
+    row's block holds its a1), per norm row (index, first row of its
+    block, a1 == 0, a2, a3, b, M_hat), and the signed-permutation pattern
+    (row, i, j, s1, s2) of a norm row's 4nm rows, ordered by (i, j, s1,
+    s2) with state index i, input index j and signs s1, s2 (+1 before
+    -1)."""
     L_blocks: list[np.ndarray] = []
     h_blocks: list[np.ndarray] = []
     norm_rows = []
@@ -277,10 +261,12 @@ def _lift_plan_cached(key: tuple, n: int, m: int, L_f: float, L_G: float):
     box_L[2 * idx + 1, idx] = -1.0
     L_blocks.append(box_L)
     h_blocks.append(np.zeros(2 * (n + m)))
+    i, j, k1, k2 = np.indices((n, m, 2, 2)).reshape(4, -1)
+    pattern = (np.arange(i.size), i, j, 1.0 - 2.0 * k1, 1.0 - 2.0 * k2)
     L, h = np.vstack(L_blocks), np.concatenate(h_blocks)
-    L.flags.writeable = False
-    h.flags.writeable = False
-    return L, h, tuple(norm_rows)
+    for a in (L, h, *pattern):
+        a.flags.writeable = False
+    return L, h, tuple(norm_rows), pattern
 
 
 def lift_rows(
@@ -308,14 +294,13 @@ def lift_rows(
         raise ValueError("sigma box must be finite and positive")
     n = model.n
     m = model.m
-    L, h, norm_rows = _lift_plan(rows, model)
+    L, h, norm_rows, (r, i, j, s1, s2) = _lift_plan(rows, model)
     f_ref = np.atleast_1d(model.f_d(x_ref))
     g_ref_inv = np.linalg.inv(model.g_d(x_ref))
     g0 = float(np.abs(g_ref_inv).sum(axis=1).max())
     L_f = model.lipschitz_f
 
     L, h = L.copy(), h.copy()
-    r, i, j, s1, s2 = _sign_pattern(n, m)
     for idx, start, a1_zero, a2, a3, b, M_hat in norm_rows:
         N = np.array([a3 * L_f * g0 + a2, a3 * g0])
         c = N + M_hat @ s_max

@@ -138,11 +138,9 @@ def build_graph(vertices: np.ndarray, spec: ReachSpec, seed: int = 0) -> ReachGr
     V = vertices.shape[0]
     if V == 0:
         raise EmptyGraphError("no vertices")
-    # Every vertex's certificates first: one reference flow per direction.
-    spec.certificates(vertices, "forward")
-    spec.certificates(vertices, "backward")
-    fwd = [spec.forward_polytope(v) for v in vertices]
-    bwd = [spec.backward_polytope(v) for v in vertices]
+    # One reference flow and one certificate per vertex and direction.
+    fwd = spec.polytopes(vertices, "forward")
+    bwd = spec.polytopes(vertices, "backward")
     sat_f = _members(fwd, vertices, 1e-9)
     sat_b = _members(bwd, vertices, 1e-9)
     edges: dict = {}

@@ -28,8 +28,8 @@ from .constraints import (
 from .models import ConstraintSet, PlanningModel, TrackingCertificate, rk4
 
 REFERENCE_POLICIES = ("fixed", "drift")
-# Certificates a spec keeps, least recently used first out: both
-# directions of a 1,000-vertex graph build.
+# Certificates a spec keeps for later lookups (extraction, re-checks),
+# least recently used first out; a graph build never reads its own back.
 CACHE_SIZE = 2048
 
 
@@ -135,24 +135,28 @@ class ReachSpec:
 
     # -- polytope queries ----------------------------------------------
 
+    def polytopes(self, anchors: np.ndarray, direction: str) -> list[lp.Polytope]:
+        """F D^+ [x0; xT] <= G with each anchor's end fixed: per row of
+        `anchors`, the set over the free end (terminal states for
+        "forward", initial states for "backward"), reduced to its polygon
+        in 2-D, from the certificate `certificates` returns for it."""
+        anchors = np.atleast_2d(np.asarray(anchors, dtype=float))
+        polys = []
+        for anchor, cert in zip(anchors, self.certificates(anchors, direction)):
+            FD = cert.F @ self._D_pinv
+            head, tail = FD[:, : self.n], FD[:, self.n :]
+            fixed, free = (head, tail) if direction == "forward" else (tail, head)
+            poly = lp.Polytope(free, cert.G - fixed @ anchor)
+            polys.append(lp.reduce_2d(poly) if self.n == 2 else poly)
+        return polys
+
     def forward_polytope(self, x0: np.ndarray) -> lp.Polytope:
         """Halfspace set over terminal states reachable from x0."""
-        return self._polytope(x0, "forward")
+        return self.polytopes(np.reshape(x0, (1, -1)), "forward")[0]
 
     def backward_polytope(self, xT: np.ndarray) -> lp.Polytope:
         """Halfspace set over initial states that can reach xT."""
-        return self._polytope(xT, "backward")
-
-    def _polytope(self, anchor: np.ndarray, direction: str) -> lp.Polytope:
-        """F D^+ [x0; xT] <= G with the anchor's end fixed: the set over the
-        free end, reduced to its polygon in 2-D."""
-        anchor = np.asarray(anchor, dtype=float).reshape(-1)
-        cert = self.certificate(anchor, direction)
-        FD = cert.F @ self._D_pinv
-        head, tail = FD[:, : self.n], FD[:, self.n :]
-        fixed, free = (head, tail) if direction == "forward" else (tail, head)
-        poly = lp.Polytope(free, cert.G - fixed @ anchor)
-        return lp.reduce_2d(poly) if self.n == 2 else poly
+        return self.polytopes(np.reshape(xT, (1, -1)), "backward")[0]
 
     def curve_between(self, x0: np.ndarray, xT: np.ndarray) -> BezierCurve:
         """Min-norm curve meeting both boundary states."""

@@ -72,15 +72,16 @@ def tracker_input(
     return u_d + np.linalg.solve(model.g_d(x), fb[..., None])[..., 0]
 
 
-def _disturbance(policy, rng, bound, cs, x_ref):
-    """Disturbances of infinity norm bound (steps,) at the references
-    x_ref (steps, n), one row per step."""
+def _disturbance(policy, rng, bound, cs, x_sim):
+    """Disturbances of infinity norm bound (steps,) on the integrated
+    states x_sim (steps, n), one row per step.  "worst" pushes along the
+    signs of the row that is tightest at x_sim, so x_sim + v attains the
+    least state margin over the whole ball."""
     if policy == "zero":
-        return np.zeros_like(x_ref)
+        return np.zeros_like(x_sim)
     if policy == "random":
-        return bound[:, None] * rng.choice([-1.0, 1.0], size=x_ref.shape)
-    # worst-case-sign: push toward the tightest state constraint row.
-    margins = cs.d - x_ref @ cs.C.T - bound[:, None] * np.sum(np.abs(cs.C), axis=1)
+        return bound[:, None] * rng.choice([-1.0, 1.0], size=x_sim.shape)
+    margins = cs.d - x_sim @ cs.C.T - bound[:, None] * np.sum(np.abs(cs.C), axis=1)
     row = cs.C[np.argmin(margins, axis=1)]
     return bound[:, None] * np.where(row >= 0.0, 1.0, -1.0)
 
@@ -143,7 +144,7 @@ def rollout(
 
     x_ref, u_d = x_ref_half[::2], ud_half[::2]
     bound = disturbance_scale * cert.error_bound(np.max(np.abs(u_d), axis=1))
-    x_cl = x_sim + _disturbance(disturbance, rng, bound, cs, x_ref)
+    x_cl = x_sim + _disturbance(disturbance, rng, bound, cs, x_sim)
     u = tracker_input(model, x_cl, x_ref, u_d, gains)
 
     state_margin, input_margin, passed = _margins(cs, x_cl.T, u.T)

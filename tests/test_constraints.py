@@ -470,6 +470,21 @@ def test_level_set_radius_matches_bisection_oracle():
         assert level_set_holds(M_hat, N, c, b, s_max, exact)
 
 
+def test_state_row_radius_is_b_by_box_containment():
+    # A row with a state term lifts with radius b because the quadratic
+    # never exceeds the cut on the box: s^T M_hat s + N^T s <= c^T s for
+    # c = N + M_hat s_max (equality at 0 and s_max), checked on random
+    # coupled rows (L_G > 0, so M_hat != 0) at the corners and inside.
+    rng = np.random.default_rng(23)
+    for _ in range(500):
+        M_hat, N, c, b, s_max = random_norm_row(rng, coupled=True)
+        assert _level_set_radius(M_hat, N, c, b, s_max, a1_zero=False) == b
+        corners = np.array([[0.0, 0.0], [s_max[0], 0.0], [0.0, s_max[1]], s_max])
+        s = np.vstack([corners, rng.uniform(0.0, s_max, size=(200, 2))])
+        q = np.einsum("ij,jk,ik->i", s, M_hat, s) + s @ N
+        assert np.all(q <= s @ c + 1e-12 * max(1.0, float(c @ s_max)))
+
+
 def test_level_set_radius_uncoupled_closed_form():
     # M_hat = 0 (L_G = 0, as for both shipped models): min(b, c . s_max).
     s_max = np.array([2.0, 3.0])

@@ -80,3 +80,44 @@ def test_exports_match_all():
     imported = [alias.asname or alias.name for node in ast.walk(tree)
                 if isinstance(node, ast.ImportFrom) for alias in node.names]
     assert set(imported) == set(bezreach.__all__)
+
+
+def _cache_sites(tree):
+    """(node, name, call) for every reference to functools.lru_cache or
+    functools.cache, by import alias or attribute; call is the Call the
+    reference is the function of, if any."""
+    aliases = {"functools": "functools"}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.module == "functools":
+            aliases.update({a.asname or a.name: a.name for a in node.names})
+        elif isinstance(node, ast.Import):
+            aliases.update({a.asname or a.name: a.name for a in node.names
+                            if a.name == "functools"})
+    calls = {id(node.func): node for node in ast.walk(tree) if isinstance(node, ast.Call)}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            name = aliases.get(node.id)
+        elif isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name) \
+                and aliases.get(node.value.id) == "functools":
+            name = node.attr
+        else:
+            continue
+        if name in ("lru_cache", "cache"):
+            yield node, name, calls.get(id(node))
+
+
+def test_every_cache_is_bounded():
+    # Caches have a size limit: every functools.lru_cache in the library
+    # is called with an integer-literal maxsize, and functools.cache
+    # (unbounded) is not used at all.
+    found = []
+    for path in sorted(SRC.glob("*.py")):
+        for node, name, call in _cache_sites(ast.parse(path.read_text(), filename=str(path))):
+            size = None
+            if call is not None:
+                size = next((kw.value for kw in call.keywords if kw.arg == "maxsize"),
+                            call.args[0] if call.args else None)
+            if not (name == "lru_cache" and isinstance(size, ast.Constant)
+                    and type(size.value) is int):
+                found.append(f"{path.name}:{node.lineno} {name}")
+    assert not found, f"caches without an integer maxsize: {found}"

@@ -281,6 +281,36 @@ def test_build_graph_makes_one_reference_flow_per_direction(monkeypatch):
     assert len(flows) == 2 and len(built) == 12
 
 
+def test_build_makes_each_certificate_once_whatever_the_cache_size(monkeypatch):
+    # A build takes its sets straight from the certificates of its batch,
+    # so a cache smaller than the build (16 of 24 certificates) evicts
+    # nothing it still needs: one certificate per vertex and direction.
+    model = pendulum_model(0.1, 1.0, 9.81)
+    cs = box_constraints([-1.0, -7.5], [2 * np.pi + 1, 7.5], 5.0)
+    cert = TrackingCertificate(0.005, 0.0, 1.0, 1.0, 1.0)
+
+    def swingup_spec():
+        return ReachSpec(model, cert, cs, order=3, horizon=0.15, refinement=10,
+                         reference_policy="drift", q_gamma_bound=70.0)
+
+    vertices = np.random.default_rng(12).uniform([np.pi - 1.0, -3.0], [np.pi + 1.0, 3.0],
+                                                 size=(12, 2))
+    ref = build_graph(vertices, swingup_spec())
+    built = []
+    real_certificate_for = ReachSpec.certificate_for
+
+    def counting_certificate_for(self, refs):
+        built.append(1)
+        return real_certificate_for(self, refs)
+
+    monkeypatch.setattr(reachability, "CACHE_SIZE", 16)
+    monkeypatch.setattr(ReachSpec, "certificate_for", counting_certificate_for)
+    graph = build_graph(vertices, swingup_spec())
+    assert len(built) == 24
+    assert ref.edges and sorted(graph.edges) == sorted(ref.edges)
+    assert all(np.array_equal(graph.edges[k], w) for k, w in ref.edges.items())
+
+
 def test_drift_build_projects_each_norm_row_once(monkeypatch):
     # The PSD projection of a norm row depends on the row and the model's
     # Lipschitz constants, not on the reference: one eigh per distinct

@@ -134,6 +134,30 @@ def test_worst_disturbance_never_looser_than_zero():
     assert np.min(worst.state_margin) <= np.min(zero.state_margin) + 1e-12
 
 
+def test_worst_disturbance_attains_the_exact_state_margin():
+    # v = e sign(C_r) for the row r that is tightest at the integrated
+    # state is the worst point of the disturbance ball, so every step's
+    # state margin equals min_r(d_r - C_r x_sim - e ||C_r||_1), also when
+    # the loop starts off its reference and the tightest row moves.
+    model = pendulum_model(0.1, 1.0, 9.81)
+    cert = TrackingCertificate(0.02, 0.0, 1.0, 1.0, 1.0)
+    x_hold = np.array([np.pi, 0.0])
+    traj = hold_trajectory(x_hold, T=0.5)
+    box = box_constraints([-1.0, -7.5], [2 * np.pi + 1, 7.5], 5.0)
+    rng = np.random.default_rng(17)
+    for _ in range(40):
+        rows = rng.normal(size=(3, 2))
+        cs = ConstraintSet(np.vstack([box.C, rows]),
+                           np.concatenate([box.d, rows @ x_hold + rng.uniform(0.05, 0.3, 3)]),
+                           u_max=5.0)
+        x0 = x_hold + rng.uniform(-0.04, 0.04, size=2)
+        res = rollout(model, traj, cs, cert, disturbance="worst", x0=x0)
+        e = cert.error_bound(np.max(np.abs(res.u_d), axis=0))
+        exact = np.min(cs.d[:, None] - cs.C @ res.x_sim
+                       - np.sum(np.abs(cs.C), axis=1)[:, None] * e, axis=0)
+        assert np.max(np.abs(res.state_margin - exact)) <= 1e-12
+
+
 def test_monitor_empty_result_vacuous_pass():
     from bezreach.sim import RolloutResult
 
@@ -285,7 +309,7 @@ def loop_rollout(model, trajectory, cs, cert, disturbance, seed, scale):
     for i in range(steps + 1):
         bound = scale * cert.error_bound(float(np.max(np.abs(u_d[:, i]))))
         x_cl[:, i] = x_sim[:, i] + loop_disturbance(disturbance, rng, bound, cs,
-                                                    x_ref[:, i])
+                                                    x_sim[:, i])
         u[:, i] = loop_tracker_input(model, x_cl[:, i], x_ref[:, i], u_d[:, i], gains)
     return x_ref, x_sim, x_cl, u_d, u, sim._margins(cs, x_cl, u)[2]
 
