@@ -43,10 +43,15 @@ def basis_matrix(p: int, T: float, ts) -> np.ndarray:
     ts = np.asarray(ts, dtype=float).reshape(-1)
     if ts.size and (ts.min() < 0 or ts.max() > T):
         raise ValueError("sample times outside [0, T]")
-    s = ts / T
-    k = np.arange(p + 1)[:, None]
-    comb = np.array([[math.comb(p, int(i))] for i in range(p + 1)], dtype=float)
-    return comb * s[None, :] ** k * (1.0 - s[None, :]) ** (p - k)
+    return _bernstein(p, ts / T)
+
+
+def _bernstein(n: int, s: np.ndarray) -> np.ndarray:
+    """The n + 1 Bernstein polynomials of degree n at the phases s in
+    [0, 1], one column per phase."""
+    k = np.arange(n + 1)[:, None]
+    comb = np.array([[math.comb(n, int(i))] for i in range(n + 1)], dtype=float)
+    return comb * s[None, :] ** k * (1.0 - s[None, :]) ** (n - k)
 
 
 @dataclass(frozen=True)
@@ -123,42 +128,23 @@ def derivative_powers(p: int, T: float, count: int) -> np.ndarray:
     return np.stack(powers)
 
 
-def _subdivision_matrices(p: int, u: float):
-    """de Casteljau split at phase u: right multipliers (L, R) with
-    points @ L the [0, u] segment and points @ R the [u, 1] segment,
-    both re-parameterized over the full interval."""
-    W = np.eye(p + 1)
-    L = np.zeros((p + 1, p + 1))
-    R = np.zeros((p + 1, p + 1))
-    L[:, 0] = W[:, 0]
-    R[:, p] = W[:, p]
-    for level in range(1, p + 1):
-        W = (1.0 - u) * W[:, : p + 1 - level] + u * W[:, 1 : p + 2 - level]
-        L[:, level] = W[:, 0]
-        R[:, p - level] = W[:, -1]
-    return L, R
-
-
 def split_matrices(p: int, k: int) -> list[np.ndarray]:
     """Right multipliers Q_1..Q_k for the uniform k-refinement: the curve
     with points `points @ Q_i` equals the original restricted to
-    [(i-1)T/k, iT/k], re-parameterized over [0, T]."""
+    [(i-1)T/k, iT/k], re-parameterized over [0, T].
+
+    Control point j of the piece over phases [a, b] is the blossom (polar
+    form) of the curve at a, p - j times, and b, j times, so column j of
+    Q_i is the convolution of the Bernstein values B^(p-j)(a) and B^j(b).
+    """
     _check_order(p)
     if not isinstance(k, (int, np.integer)) or k < 1:
         raise ValueError(f"segment count must be an integer >= 1, got {k}")
-    mats = []
-    for i in range(1, k + 1):
-        a = (i - 1) / k
-        if a > 0:
-            _, Q = _subdivision_matrices(p, a)
-        else:
-            Q = np.eye(p + 1)
-        u2 = 1.0 / (k - i + 1)
-        if u2 < 1.0:
-            Lm, _ = _subdivision_matrices(p, u2)
-            Q = Q @ Lm
-        mats.append(Q)
-    return mats
+    B = [_bernstein(n, np.arange(k + 1) / k) for n in range(p + 1)]
+    return [
+        np.column_stack([np.convolve(B[p - j][:, i], B[j][:, i + 1]) for j in range(p + 1)])
+        for i in range(k)
+    ]
 
 
 def boundary_matrix(p: int, gamma: int, T: float) -> np.ndarray:
@@ -210,14 +196,7 @@ def solve_boundary(
 def state_matrix(points: np.ndarray, gamma: int, T: float) -> np.ndarray:
     """Stacked state-space control points [points@H^0; ...; points@H^(gamma-1)]."""
     points = np.atleast_2d(np.asarray(points, dtype=float))
-    p = points.shape[1] - 1
-    H = derivative_map(p, T)
-    blocks = []
-    blk = points
-    for _ in range(gamma):
-        blocks.append(blk)
-        blk = blk @ H
-    return np.vstack(blocks)
+    return np.vstack(points @ derivative_powers(points.shape[1] - 1, T, gamma))
 
 
 def stacked_derivative_vec(p: int, T: float, m: int, n_blocks: int) -> np.ndarray:

@@ -78,8 +78,8 @@ def input_bound_row(
     """Row guaranteeing the tracker's applied input stays within u_max.
 
     The constant offset charges the tracker's reaction to the base error
-    bound, K = max(1, L_k) * e0; the tracker applies no feedback at the
-    reference itself.  Raises if the tracker cannot be feasible at all.
+    bound, K = L_k * e0; the tracker applies no feedback at the reference
+    itself.  Raises if the tracker cannot be feasible at all.
     """
     x_ref = np.asarray(x_ref, dtype=float).reshape(-1)
     deficit = u_max - cert.e0
@@ -87,7 +87,7 @@ def input_bound_row(
         raise InfeasibleCertificateError(
             f"u_max={u_max} leaves no margin: e(0)={cert.e0} (deficit {deficit:.3e})"
         )
-    K = max(1.0, cert.lipschitz_k) * cert.e0
+    K = cert.lipschitz_k * cert.e0
     return MixedConstraintRow(
         a1=np.zeros(x_ref.shape[0]),
         a2=cert.lipschitz_k * (1.0 + cert.lipschitz_psi),
@@ -99,8 +99,13 @@ def input_bound_row(
 def state_bound_rows(
     cs: ConstraintSet, cert: TrackingCertificate
 ) -> list[MixedConstraintRow]:
-    """Rows tightening C x_d <= d by the projected tracking tube."""
-    norms = np.sqrt(np.sum(cs.C**2, axis=1))
+    """Rows tightening C x_d <= d by the projected tracking tube.
+
+    The tracking error is bounded in the infinity norm, so its worst
+    effect on row r is e * ||C_r||_1 (the dual norm), which the `worst`
+    disturbance of `sim.rollout` attains.
+    """
+    norms = np.abs(cs.C).sum(axis=1)
     rows = []
     for c, d_row, k_row in zip(cs.C, cs.d, norms):
         b = d_row - cert.lipschitz_pi * cert.e0 * k_row

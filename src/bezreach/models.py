@@ -12,6 +12,7 @@ fixed-step integrator.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable, Iterator
 
@@ -163,14 +164,25 @@ def pendulum_energy_controller(
     return controller
 
 
+# (field, least value, why) for each constant of a TrackingCertificate.
+_CERTIFICATE_FLOORS = (
+    ("e0", 0.0, ""),
+    ("lipschitz_e", 0.0, ""),
+    ("lipschitz_pi", 1.0, ", the gain with which the tracking error enters the state"),
+    ("lipschitz_psi", 0.0, ""),
+    ("lipschitz_k", 1.0, ", the gain with which the tracker passes the planning input through"),
+)
+
+
 @dataclass(frozen=True)
 class TrackingCertificate:
     """Affine tracking-error bound e(u) = e0 + L_e * ||u|| plus the
     interface Lipschitz constants of the surrounding layer maps.
 
     The tracker (`sim.tracker_input`) passes the planning input u_d
-    through with gain 1, so the input row that charges ||u_d|| with
-    L_k is sound only for L_k >= 1.
+    through with gain 1, and the tracking error enters the state with
+    gain 1, so the rows that charge them with L_k and L_pi are sound only
+    for L_k >= 1 and L_pi >= 1.
     """
 
     e0: float
@@ -180,14 +192,10 @@ class TrackingCertificate:
     lipschitz_k: float
 
     def __post_init__(self):
-        if self.e0 < 0 or self.lipschitz_e < 0:
-            raise ValueError("error bound parameters must be nonnegative")
-        # Written so that a NaN fails it too.
-        if not self.lipschitz_k >= 1.0:
-            raise ValueError(
-                f"lipschitz_k={self.lipschitz_k} is below 1, the gain with which "
-                "the tracker passes the planning input through"
-            )
+        for name, floor, why in _CERTIFICATE_FLOORS:
+            value = getattr(self, name)
+            if not (math.isfinite(value) and value >= floor):
+                raise ValueError(f"{name}={value} must be finite and at least {floor:g}{why}")
 
     def error_bound(self, u_norm):
         """e(u) for an input norm, or elementwise for an array of them."""

@@ -234,6 +234,34 @@ def test_boundary_curves_keep_the_input_bound_at_unit_tracker_gain():
         TrackingCertificate(0.01, 0.0, 1.0, 1.0, 0.5)
 
 
+def test_boundary_curves_keep_oblique_state_rows_under_worst_disturbance():
+    """Curves on the boundary of a certificate with two oblique state rows
+    trip no monitor under the `worst` disturbance.  The tracking error is
+    bounded in the infinity norm, so its worst effect on row r is
+    e0 * ||C_r||_1, which the `worst` policy attains; tightening by the
+    Euclidean norm left every such curve e0 * (2 - sqrt(2)) short."""
+    model = pendulum_model(0.1, 1.0, 9.81)
+    x_ref = np.array([np.pi, 0.0])
+    C = np.vstack([BOX_C, [[1.0, 1.0], [1.0, -1.0]]])
+    cs = ConstraintSet(C, C @ x_ref + np.array([1.0, 1.0, 2.0, 2.0, 0.6, 0.6]), u_max=5.0)
+    cert = TrackingCertificate(0.05, 0.0, 1.0, 1.0, 1.0)
+    T = 0.3
+    spec = ReachSpec(model, cert, cs, order=3, horizon=T, refinement=4,
+                     reference_policy="fixed", x_ref=x_ref, q_gamma_bound=70.0)
+    cpoly = spec.certificate(np.zeros(2))
+    v0 = np.full(4, np.pi)
+    rng = np.random.default_rng(0)
+    margins = []
+    for _ in range(50):
+        v = _ray_point(cpoly.F, cpoly.G, v0, rng.normal(size=4), 1.0)
+        traj = PlannedTrajectory([BezierCurve(T, v[None, :].copy())], gamma=2)
+        res = sim.rollout(model, traj, cs, cert, disturbance="worst")
+        assert not res.violation
+        margins.append(res.state_margin.min())
+    # The curves sit on the boundary, so the tube touches a row.
+    assert min(margins) > -1e-12 and min(margins) < 1e-9
+
+
 # -- 5: exactness on the double integrator ------------------------------------
 
 

@@ -211,6 +211,46 @@ def test_split_segments_match_original_pointwise():
             assert np.allclose(at(seg, float(s)), at(curve, float(t_orig)), atol=1e-9)
 
 
+def de_casteljau_split(p, u):
+    """de Casteljau split at phase u: right multipliers (L, R) with
+    points @ L the [0, u] segment and points @ R the [u, 1] segment."""
+    W = np.eye(p + 1)
+    L = np.zeros((p + 1, p + 1))
+    R = np.zeros((p + 1, p + 1))
+    L[:, 0] = W[:, 0]
+    R[:, p] = W[:, p]
+    for level in range(1, p + 1):
+        W = (1.0 - u) * W[:, : p + 1 - level] + u * W[:, 1 : p + 2 - level]
+        L[:, level] = W[:, 0]
+        R[:, p - level] = W[:, -1]
+    return L, R
+
+
+def de_casteljau_split_matrices(p, k):
+    """The k-refinement as two de Casteljau splits per piece: the right
+    part at (i-1)/k, then its left part at 1/(k-i+1)."""
+    mats = []
+    for i in range(1, k + 1):
+        a = (i - 1) / k
+        Q = de_casteljau_split(p, a)[1] if a > 0 else np.eye(p + 1)
+        u2 = 1.0 / (k - i + 1)
+        if u2 < 1.0:
+            Q = Q @ de_casteljau_split(p, u2)[0]
+        mats.append(Q)
+    return mats
+
+
+def test_split_matrices_match_de_casteljau_oracle():
+    for p in range(1, 31):
+        for k in (1, 2, 3, 4, 7, 10, 20):
+            got = split_matrices(p, k)
+            assert len(got) == k
+            if k == 1:
+                assert np.array_equal(got[0], np.eye(p + 1))
+            for Q, Q_ref in zip(got, de_casteljau_split_matrices(p, k)):
+                assert np.max(np.abs(Q - Q_ref)) <= 1e-15, (p, k)
+
+
 # -- boundary interpolation ------------------------------------------------
 
 

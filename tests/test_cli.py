@@ -207,12 +207,17 @@ def test_plan_small_integrator_graph(tmp_path):
 
 @pytest.mark.parametrize("command", ["reach", "plan", "simulate"])
 def test_tracker_gain_below_one_is_a_config_error(tmp_path, capsys, command):
-    doc = json.loads(json.dumps(INTEGRATOR_PLAN))
-    doc["certificate"]["lipschitz_k"] = 0.5
-    cfg = write_config(tmp_path, doc)
-    assert cli.main([command, "--config", cfg, "--out", str(tmp_path / "o")]) == 2
-    err = capsys.readouterr().err
-    assert "certificate" in err and "lipschitz_k=0.5" in err
+    # Also every other constant out of its range: L_pi below 1, a NaN or
+    # negative L_psi (before: exit 3 or a bare ValueError), an infinite e0.
+    for field, value in [("lipschitz_k", 0.5), ("lipschitz_pi", 0.5),
+                         ("lipschitz_psi", float("nan")), ("lipschitz_psi", -2.0),
+                         ("e0", float("inf"))]:
+        doc = json.loads(json.dumps(INTEGRATOR_PLAN))
+        doc["certificate"][field] = value
+        cfg = write_config(tmp_path, doc)
+        assert cli.main([command, "--config", cfg, "--out", str(tmp_path / "o")]) == 2
+        err = capsys.readouterr().err
+        assert "certificate" in err and f"{field}={value}" in err
 
 
 def test_plan_edge_rule_is_a_config_error(tmp_path, capsys):

@@ -53,6 +53,25 @@ def test_tracker_gain_below_one_is_refused():
     for lipschitz_k in (0.0, 0.3, 0.5, 0.999, float("nan")):
         with pytest.raises(ValueError, match="lipschitz_k"):
             TrackingCertificate(0.0, 0.0, 1.0, 1.0, lipschitz_k)
+    # Likewise the tracking error enters the state with gain 1, so state
+    # rows that charge e0 with L_pi < 1 are too loose; every constant must
+    # be finite, and e0, L_e and L_psi nonnegative.
+    nan, inf = float("nan"), float("inf")
+    refused = {
+        "lipschitz_pi": (0.999, 0.5, 0.0, -1.0, nan, inf),
+        "lipschitz_psi": (-2.0, -1e-12, nan, inf),
+        "e0": (-0.1, nan, inf),
+        "lipschitz_e": (-0.1, nan, inf),
+        "lipschitz_k": (inf,),
+    }
+    for name, values in refused.items():
+        for value in values:
+            fields = dict(e0=0.0, lipschitz_e=0.0, lipschitz_pi=1.0,
+                          lipschitz_psi=1.0, lipschitz_k=1.0)
+            fields[name] = value
+            with pytest.raises(ValueError, match=f"{name}={value}"):
+                TrackingCertificate(**fields)
+    TrackingCertificate(0.0, 0.0, 1.0, 0.0, 1.0)  # every floor is allowed
 
 
 def test_exact_tracking_charges_the_feedforward():
@@ -74,7 +93,7 @@ def test_input_row_formula_oracle():
     row = input_bound_row(cert, np.zeros(2), u_max=5.0)
     assert np.isclose(row.a2, 3.0)
     assert np.isclose(row.a3, 2.2)
-    # K = max(1, L_k) e0 = 2 * 0.5 = 1.
+    # K = L_k e0 = 2 * 0.5 = 1.
     assert np.isclose(row.b, 4.0)
 
 
