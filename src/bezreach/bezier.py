@@ -38,10 +38,10 @@ def _check_order(p: int) -> None:
 def basis_matrix(p: int, T: float, ts) -> np.ndarray:
     """Bernstein basis at many times: column j is z(ts[j])."""
     _check_order(p)
-    if T <= 0:
+    if not T > 0:
         raise ValueError(f"duration must be positive, got {T}")
     ts = np.asarray(ts, dtype=float).reshape(-1)
-    if ts.size and (ts.min() < 0 or ts.max() > T):
+    if ts.size and not (ts.min() >= 0 and ts.max() <= T):
         raise ValueError("sample times outside [0, T]")
     return _bernstein(p, ts / T)
 
@@ -63,7 +63,7 @@ class BezierCurve:
 
     def __post_init__(self):
         pts = np.atleast_2d(np.asarray(self.points, dtype=float))
-        if self.duration <= 0:
+        if not self.duration > 0:
             raise ValueError(f"duration must be positive, got {self.duration}")
         _check_order(pts.shape[1] - 1)
         object.__setattr__(self, "points", pts)
@@ -92,7 +92,7 @@ class BezierCurve:
 def diff_matrix(p: int, T: float) -> np.ndarray:
     """Right multiplier S, (p+1) x p: points @ S are derivative points."""
     _check_order(p)
-    if T <= 0:
+    if not T > 0:
         raise ValueError(f"duration must be positive, got {T}")
     S = np.zeros((p + 1, p))
     for k in range(p):

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 import time
 from pathlib import Path
@@ -90,7 +91,13 @@ def _number(cfg, path, default=_SENTINEL):
         return v
     if isinstance(v, bool) or not isinstance(v, (int, float)):
         raise ConfigError(path, "expected a number")
-    return float(v)
+    try:
+        x = float(v)
+    except OverflowError:  # an integer beyond the float range
+        x = math.inf
+    if not math.isfinite(x):
+        raise ConfigError(path, f"{path.rsplit('.', 1)[-1]}={x} must be finite")
+    return x
 
 
 def _vector(cfg, path, default=_SENTINEL):
@@ -99,8 +106,10 @@ def _vector(cfg, path, default=_SENTINEL):
         return v
     try:
         arr = np.asarray(v, dtype=float)
-    except (TypeError, ValueError):
+    except (TypeError, ValueError, OverflowError):
         raise ConfigError(path, "expected a numeric array") from None
+    if not np.isfinite(arr).all():
+        raise ConfigError(path, "entries must be finite")
     return arr
 
 
@@ -138,32 +147,27 @@ def build_certificate(cfg: dict) -> TrackingCertificate:
 def build_constraints(cfg: dict) -> ConstraintSet:
     C = _vector(cfg, "constraints.C")
     d = _vector(cfg, "constraints.d")
-    W = _get(cfg, "constraints.W", default=None)
+    if "W" in cfg["constraints"]:
+        raise ConfigError("constraints.W", "option removed; the input bound is "
+                          "max_j |u_j| <= u_max")
+    u_max = _number(cfg, "constraints.u_max")
     try:
-        return ConstraintSet(
-            C, d, u_max=_number(cfg, "constraints.u_max"),
-            W=None if W is None else np.asarray(W, dtype=float),
-        )
+        return ConstraintSet(C, d, u_max=u_max)
     except ValueError as exc:
         raise ConfigError("constraints", str(exc)) from exc
 
 
 def build_spec(cfg: dict, model, cert, cs) -> ReachSpec:
-    policy = _get(cfg, "curve.reference_policy", str, "fixed")
-    x_ref = _vector(cfg, "curve.x_ref", None)
-    qb = _get(cfg, "curve.q_gamma_bound", default=None)
+    values = dict(
+        order=int(_number(cfg, "curve.order")),
+        horizon=_number(cfg, "curve.horizon"),
+        refinement=int(_number(cfg, "curve.refinement", 1)),
+        reference_policy=_get(cfg, "curve.reference_policy", str, "fixed"),
+        x_ref=_vector(cfg, "curve.x_ref", None),
+        q_gamma_bound=_number(cfg, "curve.q_gamma_bound", None),
+    )
     try:
-        return ReachSpec(
-            model=model,
-            cert=cert,
-            cs=cs,
-            order=int(_number(cfg, "curve.order")),
-            horizon=_number(cfg, "curve.horizon"),
-            refinement=int(_number(cfg, "curve.refinement", 1)),
-            reference_policy=policy,
-            x_ref=x_ref,
-            q_gamma_bound=None if qb is None else float(qb),
-        )
+        return ReachSpec(model=model, cert=cert, cs=cs, **values)
     except ValueError as exc:
         raise ConfigError("curve", str(exc)) from exc
 

@@ -40,7 +40,7 @@ class MixedConstraintRow:
 
     def __post_init__(self):
         object.__setattr__(self, "a1", np.asarray(self.a1, dtype=float).reshape(-1))
-        if self.a2 < 0 or self.a3 < 0:
+        if not (self.a2 >= 0 and self.a3 >= 0):
             raise ValueError("norm coefficients must be nonnegative")
         if not np.isfinite(self.b):
             raise ValueError("right-hand side must be finite")
@@ -79,35 +79,33 @@ def input_bound_row(
 
     The constant offset charges the tracker's reaction to the base error
     bound, K = L_k * e0; the tracker applies no feedback at the reference
-    itself.  Raises if the tracker cannot be feasible at all.
+    itself.  Raises if that leaves the row no margin, u_max - K <= 0.
     """
     x_ref = np.asarray(x_ref, dtype=float).reshape(-1)
-    deficit = u_max - cert.e0
-    if deficit <= 0:
-        raise InfeasibleCertificateError(
-            f"u_max={u_max} leaves no margin: e(0)={cert.e0} (deficit {deficit:.3e})"
-        )
     K = cert.lipschitz_k * cert.e0
+    b = u_max - K
+    if not b > 0:
+        raise InfeasibleCertificateError(
+            f"u_max={u_max} leaves no margin over L_k*e0={K} (b={b:.3e})"
+        )
     return MixedConstraintRow(
         a1=np.zeros(x_ref.shape[0]),
         a2=cert.lipschitz_k * (1.0 + cert.lipschitz_psi),
         a3=cert.lipschitz_k * (1.0 + cert.lipschitz_e),
-        b=u_max - K,
+        b=b,
     )
 
 
 def state_bound_rows(
     cs: ConstraintSet, cert: TrackingCertificate
 ) -> list[MixedConstraintRow]:
-    """Rows tightening C x_d <= d by the projected tracking tube.
-
-    The tracking error is bounded in the infinity norm, so its worst
-    effect on row r is e * ||C_r||_1 (the dual norm), which the `worst`
-    disturbance of `sim.rollout` attains.
+    """Rows tightening C x_d <= d by the projected tracking tube: the
+    worst effect of the tracking error on row r is e * ||C_r||_1
+    (`ConstraintSet.row_norms`), which the `worst` disturbance of
+    `sim.rollout` attains.
     """
-    norms = np.abs(cs.C).sum(axis=1)
     rows = []
-    for c, d_row, k_row in zip(cs.C, cs.d, norms):
+    for c, d_row, k_row in zip(cs.C, cs.d, cs.row_norms()):
         b = d_row - cert.lipschitz_pi * cert.e0 * k_row
         if not np.isfinite(b):
             raise ValueError("state row right-hand side is not finite")
@@ -218,7 +216,7 @@ def default_q_gamma_bound(model: PlanningModel, cs: ConstraintSet) -> float:
     xs = rng.uniform(lo, hi, size=(512, model.n))
     f_max = float(np.max(np.abs(model.f_d(xs))))
     g_max = float(np.max(np.sum(np.abs(model.g_d(xs)), axis=-1)))
-    return f_max + g_max * cs.effective_u_max()
+    return f_max + g_max * cs.u_max
 
 
 def _lift_plan(rows: Sequence[MixedConstraintRow], model: PlanningModel):
@@ -330,14 +328,14 @@ def lift_rows(
 
 @lru_cache(maxsize=64)
 def _piece_maps(p: int, T: float, k: int, gamma: int) -> np.ndarray:
-    """W[i, l] = Q_i H^l, (k, gamma + 1, p + 1, p + 1), read-only: control
+    """maps[i, l] = Q_i H^l, (k, gamma + 1, p + 1, p + 1), read-only: control
     point c of the curve feeds derivative l at control point j of piece i
-    through W[i, l, c, j].  Each piece runs for T / k, which sets the
+    through maps[i, l, c, j].  Each piece runs for T / k, which sets the
     derivative scale."""
     powers = derivative_powers(p, T / k, gamma + 1)
-    W = np.stack([Q @ powers for Q in split_matrices(p, k)])
-    W.flags.writeable = False
-    return W
+    maps = np.stack([Q @ powers for Q in split_matrices(p, k)])
+    maps.flags.writeable = False
+    return maps
 
 
 def refined_polytope(
@@ -365,9 +363,9 @@ def refined_polytope(
             raise ValueError(
                 f"lifted rows act on R^{lifted.L.shape[1]}, expected {(gamma + 1) * m}"
             )
-    W = _piece_maps(p, float(T), k, gamma)
+    maps = _piece_maps(p, float(T), k, gamma)
     L = np.stack([lifted.L.reshape(-1, gamma + 1, m) for lifted in lifted_segments])
-    F = np.einsum("krla,klcj->kjrca", L, W).reshape(-1, m * (p + 1))
+    F = np.einsum("krla,klcj->kjrca", L, maps).reshape(-1, m * (p + 1))
     return CertificatePolytope(
         F=F,
         G=np.concatenate([np.tile(ls.h, p + 1) for ls in lifted_segments]),

@@ -92,7 +92,7 @@ def pendulum_model(mass: float, length: float, gravity: float) -> PlanningModel:
     theta'' = (g/l) sin(theta) + u / (m l^2); theta = 0 is the unstable
     upright equilibrium under this sign convention, theta = pi hangs down.
     """
-    if mass <= 0 or length <= 0:
+    if not (mass > 0 and length > 0):
         raise ValueError("mass and length must be positive")
     a = gravity / length
     ginv = mass * length**2
@@ -208,29 +208,22 @@ class TrackingCertificate:
 
 @dataclass(frozen=True)
 class ConstraintSet:
-    """State polytope C x <= d plus weighted box input bound."""
+    """State polytope C x <= d plus the input bound ||u|| <= u_max
+    (infinity norms)."""
 
     C: np.ndarray
     d: np.ndarray
     u_max: float
-    W: np.ndarray | None = None
 
     def __post_init__(self):
         C = np.atleast_2d(np.asarray(self.C, dtype=float))
         d = np.asarray(self.d, dtype=float).reshape(-1)
         if C.shape[0] != d.shape[0]:
             raise ValueError("C and d row counts differ")
-        if self.u_max <= 0:
-            raise ValueError("u_max must be positive")
+        if not (math.isfinite(self.u_max) and self.u_max > 0):
+            raise ValueError(f"u_max={self.u_max} must be finite and positive")
         object.__setattr__(self, "C", C)
         object.__setattr__(self, "d", d)
-        if self.W is not None:
-            W = np.asarray(self.W, dtype=float)
-            if W.ndim == 1:
-                W = np.diag(W)
-            if not np.allclose(W, np.diag(np.diag(W))) or np.any(np.diag(W) <= 0):
-                raise ValueError("W must be a positive diagonal matrix")
-            object.__setattr__(self, "W", W)
 
     @property
     def n(self) -> int:
@@ -243,11 +236,10 @@ class ConstraintSet:
     def contains(self, x) -> bool:
         return self.polytope.contains(x, 1e-9)
 
-    def effective_u_max(self) -> float:
-        """Box input bound folded through the channel weights."""
-        if self.W is None:
-            return self.u_max
-        return self.u_max / float(np.max(np.diag(self.W)))
+    def row_norms(self) -> np.ndarray:
+        """||C_r||_1 per row: the dual of the infinity norm, so an error of
+        infinity norm e moves C_r x by at most e ||C_r||_1."""
+        return np.abs(self.C).sum(axis=1)
 
     def bounding_box(self):
         """Per-coordinate (lo, hi) box of C_X, solved on the first call and

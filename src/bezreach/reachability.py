@@ -98,7 +98,7 @@ class ReachSpec:
         """Certificate for the per-segment references `refs` (k, n): one
         `lift_rows` per segment, over sigma boxes taken for all k at once."""
         rows = [
-            input_bound_row(self.cert, refs[0], self.cs.effective_u_max()),
+            input_bound_row(self.cert, refs[0], self.cs.u_max),
             *state_bound_rows(self.cs, self.cert),
         ]
         boxes = sigma_box(self.model, self.cs, refs, self.q_gamma_bound)

@@ -7,8 +7,8 @@ iteration is the rollout's only loop: the feedforward, the disturbances,
 the applied inputs and the margins are each computed over all steps at
 once, one row per step.  The tracking certificate is exercised by
 injecting a disturbance v with ||v|| <= e(u_d) on top of the integrated
-state; the monitor then checks the state polytope and the weighted input
-bound at every step.
+state; the monitor then checks the state polytope and the input bound
+||u|| <= u_max at every step.
 """
 
 from __future__ import annotations
@@ -81,7 +81,7 @@ def _disturbance(policy, rng, bound, cs, x_sim):
         return np.zeros_like(x_sim)
     if policy == "random":
         return bound[:, None] * rng.choice([-1.0, 1.0], size=x_sim.shape)
-    margins = cs.d - x_sim @ cs.C.T - bound[:, None] * np.sum(np.abs(cs.C), axis=1)
+    margins = cs.d - x_sim @ cs.C.T - bound[:, None] * cs.row_norms()
     row = cs.C[np.argmin(margins, axis=1)]
     return bound[:, None] * np.where(row >= 0.0, 1.0, -1.0)
 
@@ -165,8 +165,7 @@ def _margins(cs: ConstraintSet, x_cl: np.ndarray, u: np.ndarray):
     """Per-step state and input margins of states x_cl and inputs u (one
     column per step), and whether no margin falls below -VIOLATION_TOL."""
     state_margin = np.min(cs.d[:, None] - cs.C @ x_cl, axis=0)
-    W = cs.W if cs.W is not None else np.eye(u.shape[0])
-    input_margin = cs.u_max - np.max(np.abs(W @ u), axis=0)
+    input_margin = cs.u_max - np.max(np.abs(u), axis=0)
     passed = bool(np.min(state_margin) >= -VIOLATION_TOL
                   and np.min(input_margin) >= -VIOLATION_TOL)
     return state_margin, input_margin, passed

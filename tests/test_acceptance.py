@@ -272,7 +272,7 @@ def test_integrator_certificate_matches_brute_force_grid():
     # plane (boundary ties would compare unequal for spurious reasons).
     cs = ConstraintSet(BOX_C, np.array([0.785, 0.785, 0.915, 0.915]), u_max=2.47)
     x_ref = np.zeros(2)
-    rows = [input_bound_row(cert, x_ref, cs.effective_u_max())]
+    rows = [input_bound_row(cert, x_ref, cs.u_max)]
     rows += state_bound_rows(cs, cert)
     s_max = sigma_box(model, cs, x_ref, q_gamma_bound=97.3)
     lifted = lift_rows(rows, model, x_ref, s_max)

@@ -71,10 +71,10 @@ def test_basis_matrix_matches_single_evaluations():
 
 
 def test_basis_rejects_out_of_range_times():
-    with pytest.raises(ValueError):
-        basis_matrix(2, 1.0, [1.5])
-    with pytest.raises(ValueError):
-        basis_matrix(2, 1.0, [0.2, 1.5])
+    for T, ts in ((1.0, [1.5]), (1.0, [0.2, 1.5]), (1.0, [np.nan]), (1.0, [0.2, np.nan]),
+                  (0.0, [0.0]), (np.nan, [0.0])):
+        with pytest.raises(ValueError):
+            basis_matrix(2, T, ts)
 
 
 # -- evaluation ------------------------------------------------------------
@@ -116,6 +116,14 @@ def test_diff_matrix_band_pattern():
     S = diff_matrix(2, 2.0)
     assert S.shape == (3, 2)
     assert np.allclose(S, [[-1.0, 0.0], [1.0, -1.0], [0.0, 1.0]])
+
+
+@pytest.mark.parametrize("T", [0.0, -1.0, np.nan])
+def test_durations_must_be_positive(T):
+    with pytest.raises(ValueError, match="duration"):
+        diff_matrix(3, T)
+    with pytest.raises(ValueError, match="duration"):
+        BezierCurve(T, np.zeros((1, 4)))
 
 
 def test_derivative_of_constant_is_zero():

@@ -381,3 +381,100 @@ def test_csv_format_is_rfc4180(tmp_path):
     raw = (out / "S.csv").read_bytes()
     assert b"\r\n" in raw
     assert raw.endswith(b"\r\n")
+
+
+def with_key(doc, path, value):
+    """A deep copy of doc with the dotted key set to value."""
+    doc = json.loads(json.dumps(doc))
+    *parents, leaf = path.split(".")
+    node = doc
+    for part in parents:
+        node = node.setdefault(part, {})
+    node[leaf] = value
+    return doc
+
+
+INTEGRATOR_REACH = with_key(
+    {key: INTEGRATOR_PLAN[key] for key in ("model", "certificate", "constraints", "curve")},
+    "reach", {"direction": "forward", "anchor": [0.2, 0.1], "samples": 20})
+
+
+@pytest.mark.parametrize("command, key, value", [
+    # A NaN or infinite number reaches no library check that could name it.
+    ("matrices", "curve.horizon", float("nan")),
+    pytest.param("matrices", "curve.horizon", 10**400, id="matrices-curve.horizon-10**400"),
+    ("reach", "reach.anchor", [10**400, 0.0]),
+    ("reach", "constraints.u_max", float("inf")),
+    ("reach", "curve.q_gamma_bound", float("nan")),
+    ("reach", "constraints.d", [1.0, float("nan"), 1.0, 1.0]),
+    ("plan", "sim.gains.kp", float("-inf")),
+    ("plan", "sim.gains.kp", "high"),
+    ("plan", "sim.gains.kd", "high"),
+    # The input bound is max_j |u_j| <= u_max; a config that still weights
+    # the channels must not run silently with another bound.
+    ("reach", "constraints.W", [[2.0]]),
+    ("plan", "constraints.W", [[2.0]]),
+])
+def test_rejected_value_is_a_config_error_naming_its_key(tmp_path, capsys, command,
+                                                         key, value):
+    base = INTEGRATOR_PLAN if command == "plan" else INTEGRATOR_REACH
+    cfg = write_config(tmp_path, with_key(base, key, value))
+    assert cli.main([command, "--config", cfg, "--out", str(tmp_path / "o")]) == 2
+    assert key in capsys.readouterr().err
+
+
+def test_plan_includes_explicit_waypoints(tmp_path):
+    points = [[0.1, 0.05], [0.15, -0.05]]
+    doc = with_key(INTEGRATOR_PLAN, "planner.waypoints", {"kind": "explicit", "points": points})
+    out = tmp_path / "o"
+    assert cli.main(["plan", "--config", write_config(tmp_path, doc), "--out", str(out)]) == 0
+    vertices = json.loads((out / "graph.json").read_text())["vertices"]
+    assert all(point in vertices for point in points)
+
+
+def test_waypoint_max_hops_bounds_the_waypoints():
+    doc = with_key(PENDULUM_BLOCKS, "planner", {
+        "bounds": {"lo": [-1.0, -7.5], "hi": [2 * np.pi + 1, 7.5]}, "count": 2,
+        "start": [np.pi, 0.0], "goal": [2 * np.pi, 0.0],
+        "waypoints": {"kind": "pendulum-energy", "u_pump": 0.04, "u_catch": 0.15}})
+    model = cli.build_model(doc)
+    counts = [len(cli._planner_vertices(
+        with_key(doc, "planner.waypoints.max_hops", hops), model, 0)[0]) for hops in (3, 8)]
+    # count + start + goal, plus one waypoint per hop.
+    assert counts == [4 + 3, 4 + 8]
+
+
+def test_plan_trajectory_samples_sets_the_csv_rows(tmp_path):
+    out = tmp_path / "o"
+    doc = with_key(INTEGRATOR_PLAN, "output.trajectory_samples", 25)
+    assert cli.main(["plan", "--config", write_config(tmp_path, doc), "--out", str(out)]) == 0
+    lines = (out / "trajectory.csv").read_bytes().decode().split("\r\n")
+    assert len([line for line in lines[1:] if line]) == 25
+
+
+def test_plan_reads_tracker_gains(tmp_path):
+    # Under the worst disturbance the applied input depends on the gains.
+    rollouts = []
+    for gains in ({}, {"kp": 2.0}, {"kd": 1.5}):
+        doc = with_key(INTEGRATOR_PLAN, "sim", {"disturbance": "worst", "gains": gains})
+        out = tmp_path / f"o{len(rollouts)}"
+        assert cli.main(["plan", "--config", write_config(tmp_path, doc), "--out", str(out)]) == 0
+        rollouts.append((out / "rollout.csv").read_bytes())
+    assert len(set(rollouts)) == 3
+
+
+def test_reach_backward_writes_the_backward_set(tmp_path):
+    doc = with_key(INTEGRATOR_REACH, "reach.direction", "backward")
+    out = {}
+    for direction, cfg in (("forward", INTEGRATOR_REACH), ("backward", doc)):
+        out[direction] = tmp_path / direction
+        assert cli.main(["reach", "--config", write_config(tmp_path, cfg),
+                         "--out", str(out[direction])]) == 0
+    text = (out["backward"] / "polytope.txt").read_text()
+    assert text != (out["forward"] / "polytope.txt").read_text()
+    spec = cli.build_spec(doc, cli.build_model(doc), cli.build_certificate(doc),
+                          cli.build_constraints(doc))
+    poly = spec.backward_polytope(np.array([0.2, 0.1]))
+    rows = [line.split(" <= ") for line in text.splitlines()]
+    assert np.array_equal([[float(v) for v in a.split()] for a, _ in rows], poly.A)
+    assert np.array_equal([float(b) for _, b in rows], poly.b)

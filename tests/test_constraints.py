@@ -98,9 +98,19 @@ def test_input_row_formula_oracle():
 
 
 def test_input_row_infeasible_deficit():
+    from bezreach.reachability import ReachSpec
+
     cert = TrackingCertificate(2.0, 0.0, 1.0, 1.0, 1.0)
     with pytest.raises(InfeasibleCertificateError):
         input_bound_row(cert, np.zeros(2), u_max=1.0)
+    # The row's right-hand side is u_max - L_k e0, so at L_k = 2 an e0 of
+    # 0.5 leaves it no margin and 0.6 a negative one, although e0 < u_max.
+    for e0 in (0.5, 0.6):
+        spec = ReachSpec(integrator_chain(2, 1), TrackingCertificate(e0, 0.0, 1.0, 1.0, 2.0),
+                         box_constraints([-1.0, -1.0], [1.0, 1.0], 1.0), order=3,
+                         horizon=1.0, x_ref=np.zeros(2), q_gamma_bound=10.0)
+        with pytest.raises(InfeasibleCertificateError, match=r"u_max=1.0 .* L_k\*e0"):
+            spec.certificate(np.zeros(2))
 
 
 # -- state rows ------------------------------------------------------------
@@ -133,8 +143,9 @@ def test_state_row_zero_row():
 
 
 def test_mixed_row_rejects_negative_norm_coefficients():
-    with pytest.raises(ValueError):
-        MixedConstraintRow(np.zeros(2), -1.0, 0.0, 1.0)
+    for a2, a3 in ((-1.0, 0.0), (0.0, -1.0), (float("nan"), 0.0), (0.0, float("nan"))):
+        with pytest.raises(ValueError):
+            MixedConstraintRow(np.zeros(2), a2, a3, 1.0)
 
 
 # -- lift ------------------------------------------------------------------
@@ -278,7 +289,7 @@ def reference_certificate(spec, refs):
                        for l in range(gamma + 1)])
     F_blocks, G_blocks = [], []
     for ref, Q in zip(refs, split_matrices(p, k)):
-        rows = [input_bound_row(spec.cert, ref, spec.cs.effective_u_max()),
+        rows = [input_bound_row(spec.cert, ref, spec.cs.u_max),
                 *state_bound_rows(spec.cs, spec.cert)]
         L, h = reference_lift_rows(rows, spec.model, ref, reference_sigma_box(
             spec.model, spec.cs, ref, spec.q_gamma_bound))
@@ -652,7 +663,7 @@ def test_refined_polytope_matches_kron_construction(k):
         m = spec.model.m
         for direction in ("forward", "backward"):
             refs = spec.references(anchor, direction)
-            lifted = [lift_rows([input_bound_row(cert, r, spec.cs.effective_u_max()),
+            lifted = [lift_rows([input_bound_row(cert, r, spec.cs.u_max),
                                  *state_bound_rows(spec.cs, cert)], spec.model, r,
                                 sigma_box(spec.model, spec.cs, r, spec.q_gamma_bound))
                       for r in refs]

@@ -121,3 +121,33 @@ def test_every_cache_is_bounded():
                     and type(size.value) is int):
                 found.append(f"{path.name}:{node.lineno} {name}")
     assert not found, f"caches without an integer maxsize: {found}"
+
+
+def _is_zero(node):
+    return isinstance(node, ast.Constant) and type(node.value) in (int, float) \
+        and node.value == 0
+
+
+def test_range_checks_refuse_nan():
+    # NaN compares False, so `if x <= 0: raise` lets a NaN x through;
+    # a range check is written `if not x > 0: raise` instead.  Flags every
+    # `< 0`, `<= 0` (or `0 >`, `0 >=`) outside a `not` in the test of an
+    # `if` whose body raises.
+    found = []
+    for path in sorted(SRC.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if not (isinstance(node, ast.If) and any(
+                    isinstance(n, ast.Raise) for stmt in node.body for n in ast.walk(stmt))):
+                continue
+            negated = {id(n) for op in ast.walk(node.test)
+                       if isinstance(op, ast.UnaryOp) and isinstance(op.op, ast.Not)
+                       for n in ast.walk(op.operand)}
+            for cmp in ast.walk(node.test):
+                if not isinstance(cmp, ast.Compare) or id(cmp) in negated:
+                    continue
+                terms = [cmp.left, *cmp.comparators]
+                if any(isinstance(op, (ast.Lt, ast.LtE)) and _is_zero(right)
+                       or isinstance(op, (ast.Gt, ast.GtE)) and _is_zero(left)
+                       for left, op, right in zip(terms, cmp.ops, terms[1:])):
+                    found.append(f"{path.name}:{cmp.lineno}")
+    assert not found, f"range checks that let NaN through: {found}"

@@ -166,8 +166,10 @@ def test_pendulum_constant_actuation_lipschitz_zero():
 
 
 def test_pendulum_rejects_nonpositive_parameters():
-    with pytest.raises(ValueError):
-        pendulum_model(0.0, 1.0, 9.81)
+    nan = float("nan")
+    for mass, length in ((0.0, 1.0), (1.0, -1.0), (nan, 1.0), (1.0, nan)):
+        with pytest.raises(ValueError):
+            pendulum_model(mass, length, 9.81)
 
 
 def test_validate_lipschitz_pendulum():
@@ -241,7 +243,7 @@ def test_default_q_gamma_bound_equals_per_sample_loop(model):
     g_max = max(
         float(np.max(np.sum(np.abs(np.atleast_2d(model.g_d(x))), axis=1))) for x in xs
     )
-    assert default_q_gamma_bound(model, cs) == f_max + g_max * cs.effective_u_max()
+    assert default_q_gamma_bound(model, cs) == f_max + g_max * cs.u_max
 
 
 # -- integrator chain ------------------------------------------------------
@@ -300,15 +302,16 @@ def test_constraint_set_shape_mismatch():
         ConstraintSet(np.eye(2), np.ones(3), u_max=1.0)
 
 
+def test_constraint_set_rejects_u_max_out_of_range():
+    for u_max in (0.0, -1.0, float("nan"), float("inf")):
+        with pytest.raises(ValueError, match=f"u_max={u_max}"):
+            ConstraintSet(np.eye(2), np.ones(2), u_max=u_max)
+
+
 def test_constraint_set_membership():
     cs = box_constraints([-1, -1], [1, 1], u_max=2.0)
     assert cs.contains([0.5, -0.5])
     assert not cs.contains([1.5, 0.0])
-
-
-def test_effective_u_max_with_weights():
-    cs = ConstraintSet(np.eye(2), np.ones(2), u_max=4.0, W=np.diag([2.0, 1.0]))
-    assert np.isclose(cs.effective_u_max(), 2.0)
 
 
 # -- energy controller -----------------------------------------------------
