@@ -49,10 +49,9 @@ from .planner import (
     extract_trajectory,
     sample_vertices,
     search,
-    segment_slack,
 )
 from .reachability import ReachSpec, sample_cloud
-from .sim import DivergenceError, monitor, rollout
+from .sim import DivergenceError, feedback_gain, monitor, rollout
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -100,10 +99,18 @@ def _number(cfg, path, default=_SENTINEL):
     return x
 
 
+def _has_bool(v) -> bool:
+    """Whether a JSON value holds a boolean anywhere in its nested lists
+    (NumPy would read it as 0 or 1)."""
+    return isinstance(v, bool) or (isinstance(v, list) and any(map(_has_bool, v)))
+
+
 def _vector(cfg, path, default=_SENTINEL):
     v = _get(cfg, path, default=default)
     if v is default and default is not _SENTINEL:
         return v
+    if _has_bool(v):
+        raise ConfigError(path, "expected a numeric array, got a boolean entry")
     try:
         arr = np.asarray(v, dtype=float)
     except (TypeError, ValueError, OverflowError):
@@ -186,12 +193,23 @@ def _finish(out: Path, cfg: dict, command: str, seed, files: list[str], t0: floa
     artifacts.write_json(out / "metadata.json", meta)
 
 
-def _rollout(cfg: dict, model, traj, cs, cert, seed: int):
+def _gains(cfg: dict, model, cs, cert) -> dict:
+    """The config's kp and kd, refused unless their feedback gain over C_X
+    fits the certificate's L_k, with which the input row charges it."""
+    kp = _number(cfg, "sim.gains.kp", 0.5)
+    kd = _number(cfg, "sim.gains.kd", 0.5)
+    gain = feedback_gain(model, cs, kp, kd)
+    if not gain <= cert.lipschitz_k:
+        raise ConfigError("sim.gains", f"kp={kp}, kd={kd} give the tracker a feedback "
+                          f"gain of {gain} over C_X, above certificate.lipschitz_k="
+                          f"{cert.lipschitz_k}")
+    return {"kp": kp, "kd": kd}
+
+
+def _rollout(cfg: dict, model, traj, cs, cert, seed: int, gains: dict):
     """Roll out a trajectory under the config's `sim` block."""
     return rollout(
-        model, traj, cs, cert,
-        kp=_number(cfg, "sim.gains.kp", 0.5),
-        kd=_number(cfg, "sim.gains.kd", 0.5),
+        model, traj, cs, cert, **gains,
         disturbance=_get(cfg, "sim.disturbance", str, "zero"),
         seed=seed,
         disturbance_scale=_number(cfg, "sim.disturbance_scale", 1.0),
@@ -326,6 +344,7 @@ def cmd_plan(cfg: dict, out: Path, seed: int) -> int:
     model = build_model(cfg)
     cert = build_certificate(cfg)
     cs = build_constraints(cfg)
+    gains = _gains(cfg, model, cs, cert)
     spec = build_spec(cfg, model, cert, cs)
     goal = _vector(cfg, "planner.goal")
     if not cs.contains(goal):
@@ -340,9 +359,8 @@ def cmd_plan(cfg: dict, out: Path, seed: int) -> int:
         print(f"planning infeasible: {exc}", file=sys.stderr)
         return EXIT_INFEASIBLE
     traj = extract_trajectory(graph, path)
-    slack = segment_slack(graph, path)
 
-    res = _rollout(cfg, model, traj, cs, cert, seed)
+    res = _rollout(cfg, model, traj, cs, cert, seed, gains)
     report = monitor(res, cs)
 
     files = ["graph.json", "trajectory.json", "trajectory.csv", "rollout.csv",
@@ -366,8 +384,8 @@ def cmd_plan(cfg: dict, out: Path, seed: int) -> int:
         graph_edges=len(graph.edges),
         vertices=int(verts.shape[0]),
         total_duration=traj.total_duration,
-        segment_slack=slack,
-        min_segment_slack=min(slack),
+        segment_slack=traj.segment_slack,
+        min_segment_slack=min(traj.segment_slack),
     )
     if model.n == 2:
         artifacts.write_polyline_svg(out / "trajectory.svg", states.T)
@@ -381,6 +399,7 @@ def cmd_simulate(cfg: dict, out: Path, seed: int) -> int:
     model = build_model(cfg)
     cert = build_certificate(cfg)
     cs = build_constraints(cfg)
+    gains = _gains(cfg, model, cs, cert)
     traj_path = _get(cfg, "sim.trajectory", str)
     try:
         doc = json.loads(Path(traj_path).read_text())
@@ -399,7 +418,7 @@ def cmd_simulate(cfg: dict, out: Path, seed: int) -> int:
         if seg.dim != model.m:
             raise ConfigError("sim.trajectory", f"segment {i} has {seg.dim} point rows, "
                               f"but the model has {model.m} inputs")
-    res = _rollout(cfg, model, traj, cs, cert, seed)
+    res = _rollout(cfg, model, traj, cs, cert, seed, gains)
     report = monitor(res, cs)
     files = ["rollout.csv", "summary.json"]
     _write_rollout_csv(out, model, res)

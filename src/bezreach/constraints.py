@@ -106,15 +106,12 @@ def state_bound_rows(
     """
     rows = []
     for c, d_row, k_row in zip(cs.C, cs.d, cs.row_norms()):
-        b = d_row - cert.lipschitz_pi * cert.e0 * k_row
-        if not np.isfinite(b):
-            raise ValueError("state row right-hand side is not finite")
         rows.append(
             MixedConstraintRow(
                 a1=c.copy(),
                 a2=0.0,
                 a3=cert.lipschitz_pi * cert.lipschitz_e * k_row,
-                b=b,
+                b=d_row - cert.lipschitz_pi * cert.e0 * k_row,
             )
         )
     return rows

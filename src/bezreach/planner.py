@@ -203,6 +203,8 @@ class PlannedTrajectory:
 
     segments: list[BezierCurve]
     gamma: int
+    # Each segment's certificate slack, kept by `extract_trajectory`.
+    segment_slack: list[float] | None = field(init=False, default=None)
     _state_mats: list[np.ndarray] = field(init=False, repr=False)
     _qgamma_pts: list[np.ndarray] = field(init=False, repr=False)
 
@@ -269,42 +271,30 @@ class PlannedTrajectory:
         return PlannedTrajectory(segs, gamma=int(doc["gamma"]))
 
 
-def _edge_curves(graph: ReachGraph, path: list[int]):
-    """For each path edge (i, j): the outbound curve v_i -> w and the
-    inbound curve w -> v_j through its witness w, each with the
-    certificate that justified the edge (forward from v_i, backward from
-    v_j)."""
+def extract_trajectory(graph: ReachGraph, path: list[int]) -> PlannedTrajectory:
+    """Two certified curves per edge (v_i -> w -> v_j), re-checked without
+    tolerance against the certificate polytopes that justified the edge
+    (forward from v_i, backward from v_j).  The trajectory keeps each
+    curve's slack min(G - F vec(p)), in order, as `segment_slack`."""
     spec = graph.spec
+    segments: list[BezierCurve] = []
+    slack: list[float] = []
     for i, j in zip(path, path[1:]):
         if (i, j) not in graph.edges:
             raise ValueError(f"path edge ({i}, {j}) not present in graph")
-        w = graph.edges[(i, j)]
-        vi = graph.vertices[i]
-        vj = graph.vertices[j]
-        yield (i, j), (
-            (spec.certificate(vi, "forward"), spec.curve_between(vi, w)),
-            (spec.certificate(vj, "backward"), spec.curve_between(w, vj)),
-        )
-
-
-def extract_trajectory(graph: ReachGraph, path: list[int]) -> PlannedTrajectory:
-    """Two certified curves per edge (v_i -> w -> v_j), re-checked
-    against the certificate polytopes that justified the edge."""
-    segments: list[BezierCurve] = []
-    for (i, j), pieces in _edge_curves(graph, path):
-        for (cert, curve), name in zip(pieces, ("outbound", "inbound")):
-            if not cert.accepts(curve.points, tol=0.0):
+        w, vi, vj = graph.edges[(i, j)], graph.vertices[i], graph.vertices[j]
+        for name, cert, curve in (
+            ("outbound", spec.certificate(vi, "forward"), spec.curve_between(vi, w)),
+            ("inbound", spec.certificate(vj, "backward"), spec.curve_between(w, vj)),
+        ):
+            s = cert.slack(curve.points)
+            # Written so that a NaN slack fails it too.
+            if not s >= 0.0:
                 raise InternalInconsistencyError(
-                    f"edge ({i}, {j}): {name} segment fails its certificate"
+                    f"edge ({i}, {j}): {name} segment fails its certificate (slack {s:.3e})"
                 )
             segments.append(curve)
-    return PlannedTrajectory(segments, gamma=graph.spec.model.gamma)
-
-
-def segment_slack(graph: ReachGraph, path: list[int]) -> list[float]:
-    """Certificate slack min(G - F vec(p)) of each curve of the trajectory
-    `extract_trajectory` builds along `path`, in order, against the
-    certificate it re-checks that curve with; all >= 0 once extraction
-    succeeded."""
-    return [cert.slack(curve.points)
-            for _, pieces in _edge_curves(graph, path) for cert, curve in pieces]
+            slack.append(s)
+    traj = PlannedTrajectory(segments, gamma=spec.model.gamma)
+    traj.segment_slack = slack
+    return traj

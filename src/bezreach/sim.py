@@ -58,6 +58,20 @@ def _tracker_gains(gamma: int, kp: float, kd: float) -> np.ndarray:
     return gains
 
 
+def feedback_gain(model: PlanningModel, cs: ConstraintSet, kp: float, kd: float) -> float:
+    """Bound over C_X on the gain from tracking error to the tracker's
+    feedback g^-1(x) K (x_ref - x): (sum |gains|) * sup ||g^-1(x)||.  The
+    sup is ||g^-1(c)|| + m L_G r at the centre c and infinity radius r
+    of C_X's bounding box, as each entry of g^-1 moves by at most L_G
+    per unit of ||x - c||.  The certificate's input row charges this
+    feedback as L_k * e, so it is sound only if the bound is <= L_k."""
+    lo, hi = cs.bounding_box()
+    sup = np.linalg.norm(np.linalg.inv(model.g_d(0.5 * (lo + hi))), np.inf)
+    if model.lipschitz_ginv:  # a constant g needs no radius, even an infinite one
+        sup += model.m * model.lipschitz_ginv * 0.5 * np.max(hi - lo)
+    return float(np.sum(np.abs(_tracker_gains(model.gamma, kp, kd))) * sup)
+
+
 def tracker_input(
     model: PlanningModel,
     x: np.ndarray,
@@ -110,6 +124,11 @@ def rollout(
         raise ValueError(f"dt={dt} must be positive")
     if dt > seg_T / 200.0:
         raise ValueError(f"dt={dt} too coarse; need dt <= {seg_T / 200.0}")
+    gain = feedback_gain(model, cs, kp, kd)
+    # Written so that a NaN gain fails it too.
+    if not gain <= cert.lipschitz_k:
+        raise ValueError(f"kp={kp}, kd={kd} give the tracker a feedback gain of {gain} "
+                         f"over C_X, above the certificate's lipschitz_k={cert.lipschitz_k}")
     total = trajectory.total_duration
     steps = int(round(total / dt))
     t_grid = np.linspace(0.0, total, steps + 1)

@@ -1,14 +1,14 @@
-"""Shared LP oracles.  SciPy serves the tests only; the library itself
-stays NumPy-only, so every test that asks for an oracle is skipped when
-SciPy is missing."""
+"""Shared LP oracles.  SciPy serves the tests only (the `test` extra
+installs it); the library itself stays NumPy-only."""
 
 import numpy as np
 import pytest
+from scipy import optimize
 
 
 @pytest.fixture
 def linprog():
-    return pytest.importorskip("scipy.optimize").linprog
+    return optimize.linprog
 
 
 @pytest.fixture

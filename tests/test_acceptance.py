@@ -234,6 +234,38 @@ def test_boundary_curves_keep_the_input_bound_at_unit_tracker_gain():
         TrackingCertificate(0.01, 0.0, 1.0, 1.0, 0.5)
 
 
+def test_boundary_curves_keep_the_input_bound_under_a_stiff_tracker():
+    """On the unit integrator, PD gains kp = kd = 5 give the tracker a
+    feedback of up to (kp + kd) e = 10 e.  A certificate with L_k = 1 is
+    refused for them; with L_k = 10 every curve on its boundary keeps the
+    exact worst-case input margin over the disturbance ball,
+    u_max - max_j(|u_j| + e ||(g^-1 K)_j||_1), at every step of its
+    undisturbed rollout."""
+    model = integrator_chain(2, 1)
+    cs = ConstraintSet(BOX_C, np.ones(4), u_max=2.0)
+    T, kp, kd = 1.0, 5.0, 5.0
+    traj = PlannedTrajectory([BezierCurve(T, np.zeros((1, 4)))], gamma=2)
+    with pytest.raises(ValueError, match="lipschitz_k"):
+        sim.rollout(model, traj, cs, TrackingCertificate(0.05, 0.0, 1.0, 1.0, 1.0),
+                    kp=kp, kd=kd)
+    cert = TrackingCertificate(0.05, 0.0, 1.0, 1.0, 10.0)
+    spec = ReachSpec(model, cert, cs, order=3, horizon=T, refinement=4,
+                     reference_policy="fixed", x_ref=np.zeros(2), q_gamma_bound=10.0)
+    cpoly = spec.certificate(np.zeros(2))
+    v0 = np.zeros(4)
+    assert np.all(cpoly.F @ v0 <= cpoly.G - 1e-9)
+    gK = np.abs(np.linalg.inv(model.g_d(v0[:2])) @ np.array([[kp, kd]])).sum(axis=1)
+    rng = np.random.default_rng(0)
+    margins = []
+    for _ in range(100):
+        v = _ray_point(cpoly.F, cpoly.G, v0, rng.normal(size=4), 1.0)
+        traj = PlannedTrajectory([BezierCurve(T, v[None, :].copy())], gamma=2)
+        res = sim.rollout(model, traj, cs, cert, kp=kp, kd=kd, disturbance="zero")
+        e = cert.error_bound(np.max(np.abs(res.u_d), axis=0))
+        margins.append(np.min(cs.u_max - np.max(np.abs(res.u) + e * gK[:, None], axis=0)))
+    assert min(margins) >= 0.0
+
+
 def test_boundary_curves_keep_oblique_state_rows_under_worst_disturbance():
     """Curves on the boundary of a certificate with two oblique state rows
     trip no monitor under the `worst` disturbance.  The tracking error is

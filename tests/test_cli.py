@@ -9,6 +9,7 @@ from bezreach import cli
 from bezreach.bezier import BoundaryRankError, boundary_matrix, diff_matrix, solve_boundary
 from bezreach.constraints import CertificatePolytope
 from bezreach.lp import WitnessError
+from bezreach.reachability import ReachSpec
 
 
 def write_config(tmp_path, doc, name="config.json"):
@@ -240,7 +241,7 @@ def test_pendulum_energy_waypoints_need_a_pendulum_model(tmp_path, capsys):
 
 
 def test_plan_edge_reverification_failure_exit_4(tmp_path, monkeypatch, capsys):
-    monkeypatch.setattr(CertificatePolytope, "accepts", lambda self, *a, **k: False)
+    monkeypatch.setattr(CertificatePolytope, "slack", lambda self, *a, **k: -1e-3)
     cfg = write_config(tmp_path, INTEGRATOR_PLAN)
     assert cli.main(["plan", "--config", cfg, "--out", str(tmp_path / "o")]) == 4
     err = capsys.readouterr().err
@@ -414,6 +415,11 @@ INTEGRATOR_REACH = with_key(
     # the channels must not run silently with another bound.
     ("reach", "constraints.W", [[2.0]]),
     ("plan", "constraints.W", [[2.0]]),
+    # NumPy reads a JSON boolean in an array as 0 or 1.
+    ("reach", "constraints.d", [True, 1, 1, 1]),
+    ("reach", "constraints.C", [[1, 0], [-1, 0], [0, True], [0, -1]]),
+    ("reach", "reach.anchor", [0.2, False]),
+    ("reach", "curve.x_ref", [False, 0.0]),
 ])
 def test_rejected_value_is_a_config_error_naming_its_key(tmp_path, capsys, command,
                                                          key, value):
@@ -454,13 +460,67 @@ def test_plan_trajectory_samples_sets_the_csv_rows(tmp_path):
 
 def test_plan_reads_tracker_gains(tmp_path):
     # Under the worst disturbance the applied input depends on the gains.
+    # L_k = 2.5 covers the largest feedback gain, kp + kd = 2.0 + 0.5.
     rollouts = []
     for gains in ({}, {"kp": 2.0}, {"kd": 1.5}):
         doc = with_key(INTEGRATOR_PLAN, "sim", {"disturbance": "worst", "gains": gains})
+        doc = with_key(doc, "certificate.lipschitz_k", 2.5)
         out = tmp_path / f"o{len(rollouts)}"
         assert cli.main(["plan", "--config", write_config(tmp_path, doc), "--out", str(out)]) == 0
         rollouts.append((out / "rollout.csv").read_bytes())
     assert len(set(rollouts)) == 3
+
+
+@pytest.mark.parametrize("command", ["plan", "simulate"])
+def test_gains_beyond_the_certificates_lipschitz_k_are_a_config_error(tmp_path, capsys,
+                                                                        command):
+    # On the unit integrator, kp = kd = 5 give a feedback of (kp + kd) e =
+    # 10 e, ten times what the input row charges at L_k = 1.
+    pts = solve_boundary(boundary_matrix(3, 2, 1.0), np.zeros(2), np.zeros(2))
+    traj_path = tmp_path / "traj.json"
+    traj_path.write_text(json.dumps({"gamma": 2, "segments": [
+        {"order": 3, "duration": 1.0, "points": pts.tolist()}]}))
+    doc = json.loads(json.dumps(INTEGRATOR_PLAN))
+    doc["certificate"]["e0"] = 0.05
+    doc["curve"]["refinement"] = 4
+    doc["planner"]["goal"] = [0.05, 0.0]
+    doc["sim"] = {"gains": {"kp": 5.0, "kd": 5.0}, "disturbance": "worst",
+                  "trajectory": str(traj_path)}
+    out = tmp_path / "o"
+    assert cli.main([command, "--config", write_config(tmp_path, doc), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert "sim.gains" in err and "certificate.lipschitz_k" in err
+    assert not (out / "summary.json").exists()
+    # An L_k that covers the feedback gain runs, and the monitor passes
+    # under the worst disturbance.
+    doc = with_key(doc, "certificate.lipschitz_k", 10.0)
+    assert cli.main([command, "--config", write_config(tmp_path, doc), "--out", str(out)]) == 0
+    assert json.loads((out / "summary.json").read_text())["monitor_passed"] is True
+
+
+def test_plan_looks_each_certificate_up_once_per_curve(tmp_path, monkeypatch):
+    # Extraction checks each curve against its certificate and keeps the
+    # slack: two lookups per path edge, none repeated for the summary.
+    doc = with_key(PENDULUM_BLOCKS, "planner", {
+        "bounds": {"lo": [-0.5, -7.0], "hi": [2 * np.pi + 0.5, 7.0]}, "count": 2,
+        "start": [np.pi, 0.0], "goal": [np.pi, 0.0],
+        "waypoints": {"kind": "pendulum-energy", "u_pump": 1.0, "u_catch": 0.15,
+                      "max_hops": 6}})
+    doc = with_key(doc, "curve.refinement", 4)
+    # The goal is the last energy-pump waypoint.
+    verts = cli._planner_vertices(doc, cli.build_model(doc), 11)[0]
+    doc = with_key(doc, "planner.goal", verts[-2].tolist())
+    lookups = []
+    certificate = ReachSpec.certificate
+    monkeypatch.setattr(ReachSpec, "certificate",
+                        lambda self, *a, **k: lookups.append(a) or certificate(self, *a, **k))
+    out = tmp_path / "o"
+    assert cli.main(["plan", "--config", write_config(tmp_path, doc), "--out", str(out),
+                     "--seed", "11"]) == 0
+    summary = json.loads((out / "summary.json").read_text())
+    assert summary["path_edges"] >= 3
+    assert len(lookups) == 2 * summary["path_edges"]
+    assert len(summary["segment_slack"]) == len(lookups)
 
 
 def test_reach_backward_writes_the_backward_set(tmp_path):

@@ -7,6 +7,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from scipy import spatial
 
 from bezreach import lp
 
@@ -563,7 +564,6 @@ def scipy_polygon(A, b, linprog):
     """Radius of the largest disc in {A x <= b} (negative when the set is
     empty, by a distance), and the set's ccw vertices from scipy.spatial
     when the radius is at least 1e-6 (else None)."""
-    spatial = pytest.importorskip("scipy.spatial")
     norms = np.linalg.norm(A, axis=1)
     res = linprog(np.r_[0.0, 0.0, -1.0], A_ub=np.column_stack([A, norms]), b_ub=b,
                   bounds=[(None, None)] * 2 + [(None, 1.0)], method="highs")

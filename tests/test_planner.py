@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from bezreach import lp
+from bezreach.constraints import CertificatePolytope
 from bezreach.models import (
     ConstraintSet,
     TrackingCertificate,
@@ -16,6 +17,7 @@ from bezreach.models import (
 )
 from bezreach.planner import (
     EmptyGraphError,
+    InternalInconsistencyError,
     PlannedTrajectory,
     ReachGraph,
     UnreachableGoalError,
@@ -535,6 +537,46 @@ def test_extracted_segments_satisfy_certificates():
     cert = spec.certificate(verts[0], "forward")
     for seg in traj.segments:
         assert cert.accepts(seg.points, tol=1e-6)
+
+
+@pytest.mark.parametrize("case", ["integrator", "drift"])
+def test_extraction_keeps_each_curves_certificate_slack(case):
+    # Recomputed per curve from the certificate that justified its edge:
+    # forward from v_i for the outbound curve, backward from v_j for the
+    # inbound one.
+    if case == "drift":
+        spec, verts = small_drift_graph_case()
+        start, goal = 2, 6
+    else:
+        spec = integrator_spec()
+        verts = sample_vertices((np.array([-0.4, -0.4]), np.array([0.4, 0.4])), 6, seed=15)
+        start, goal = 0, 5
+    graph = build_graph(verts, spec)
+    path = search(graph, start, goal)
+    traj = extract_trajectory(graph, path)
+    expected = []
+    for i, j in zip(path, path[1:]):
+        w = graph.edges[(i, j)]
+        for cert, curve in ((spec.certificate(verts[i], "forward"),
+                             spec.curve_between(verts[i], w)),
+                            (spec.certificate(verts[j], "backward"),
+                             spec.curve_between(w, verts[j]))):
+            vec = curve.points.reshape(-1, order="F")
+            expected.append(float(np.min(cert.G - cert.F @ vec)))
+    assert len(expected) == 2 * (len(path) - 1) > 0
+    assert traj.segment_slack == expected
+    assert min(traj.segment_slack) >= 0.0
+    # A trajectory built from its segments alone carries no slack.
+    assert PlannedTrajectory.from_json_dict(traj.to_json_dict()).segment_slack is None
+
+
+@pytest.mark.parametrize("slack", [-1e-300, float("nan")])
+def test_extraction_refuses_a_curve_without_slack(monkeypatch, slack):
+    spec = integrator_spec()
+    graph = build_graph(np.array([[0.1, 0.0], [-0.1, 0.0]]), spec)
+    monkeypatch.setattr(CertificatePolytope, "slack", lambda self, points: slack)
+    with pytest.raises(InternalInconsistencyError, match=r"edge \(0, 1\): outbound"):
+        extract_trajectory(graph, [0, 1])
 
 
 def de_casteljau(points, s):

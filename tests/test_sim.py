@@ -75,12 +75,46 @@ def test_coarse_dt_rejected():
 
 
 def test_divergence_detected():
-    # Unstable positive feedback: negative gains blow the loop up.
+    # Unstable positive feedback: negative gains blow the loop up.  The
+    # certificate's L_k = 40 = m l^2 (|kp| + |kd|) covers the feedback, so
+    # the rollout runs until the state leaves the safety box.
     model = pendulum_model(0.1, 1.0, 9.81)
     cs = box_constraints([-0.5, -0.5], [0.5, 0.5], 100.0)
     traj = hold_trajectory(np.array([0.4, 0.0]), T=5.0)
+    cert = TrackingCertificate(0.0, 0.0, 1.0, 1.0, 40.0)
     with pytest.raises(DivergenceError):
-        rollout(model, traj, cs, TrackingCertificate.exact(), kp=-200.0, kd=-200.0)
+        rollout(model, traj, cs, cert, kp=-200.0, kd=-200.0)
+
+
+def test_gains_beyond_the_certificates_lipschitz_k_are_refused():
+    # The input row charges the tracker's feedback as L_k e, and on the
+    # unit integrator that feedback reaches (|kp| + |kd|) e.
+    model = integrator_chain(2, 1)
+    cs = box_constraints([-1, -1], [1, 1], 2.0)
+    cert = TrackingCertificate(0.05, 0.0, 1.0, 1.0, 1.0)
+    traj = hold_trajectory(np.zeros(2))
+    for kp, kd in ((5.0, 5.0), (0.5, 0.6), (-1.0, 0.5), (np.nan, 0.0)):
+        with pytest.raises(ValueError, match=r"kp=.*kd=.*lipschitz_k"):
+            rollout(model, traj, cs, cert, kp=kp, kd=kd)
+    assert sim.feedback_gain(model, cs, 5.0, 5.0) == 10.0
+    # Equality is allowed: the default gains give exactly L_k = 1.
+    assert not rollout(model, traj, cs, cert).violation
+    # Only kp acts when gamma = 1.
+    assert sim.feedback_gain(integrator_chain(1, 2), box_constraints([-1, -1], [1, 1], 2.0),
+                             0.5, 7.0) == 0.5
+
+
+def test_feedback_gain_bounds_a_state_dependent_actuation():
+    # g^-1 = 1 / (1 + cos(x0) / 2) over a box: ||g^-1(c)|| + m L_G r bounds
+    # the sampled supremum of |g^-1|.
+    model = varying_gain_model()
+    cs = box_constraints([np.pi - 0.5, -1.0], [np.pi + 0.3, 1.0], 30.0)
+    lo, hi = cs.bounding_box()
+    xs = np.random.default_rng(0).uniform(lo, hi, size=(2000, 2))
+    sampled = np.max(1.0 / np.abs(model.g_d(xs)))
+    assert sampled <= sim.feedback_gain(model, cs, 1.0, 0.0)
+    assert np.isclose(sim.feedback_gain(model, cs, 1.0, 0.0),
+                      1.0 / (1.0 + 0.5 * np.cos(np.pi - 0.1)) + 0.85 * 1.0)
 
 
 def test_nan_state_raises_divergence():
@@ -330,10 +364,13 @@ def row_cases():
     chain_hop = hop_trajectory(np.array([0.1, -0.2, 0.0, 0.1]),
                                np.array([0.4, 0.1, -0.1, 0.0]), T=0.5)
     cert = TrackingCertificate(0.01, 0.001, 1.0, 1.0, 1.0)
+    # The varying gain's g^-1 reaches 2.59 over its box, so its tracker
+    # feedback needs L_k >= 2.59; L_k does not enter the rollout otherwise.
+    varying_cert = TrackingCertificate(0.01, 0.001, 1.0, 1.0, 3.0)
     return [
         (pendulum_model(0.1, 1.0, 9.81), tube_constraints(hop, [0.6, 0.8], 2.0),
          cert, hop),
-        (varying_gain_model(), tube_constraints(hop, [0.6, 0.8], 30.0), cert, hop),
+        (varying_gain_model(), tube_constraints(hop, [0.6, 0.8], 30.0), varying_cert, hop),
         (integrator_chain(2, 2),
          tube_constraints(chain_hop, [0.5, -0.5, 0.5, 0.5], 12.0), cert, chain_hop),
     ]
