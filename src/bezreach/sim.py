@@ -1,11 +1,14 @@
 """Closed-loop verification of planned trajectories.
 
 The planning-model loop is integrated with fixed-step RK4 (`models.rk4`)
-under a feedback-linearizing feedforward plus PD tracker, so an RK4
-stage adds the PD feedback to g u_d and needs no solve.  The RK4
-iteration is the rollout's only loop: the feedforward, the disturbances,
-the applied inputs and the margins are each computed over all steps at
-once, one row per step.  The tracking certificate is exercised by
+under a feedback-linearizing feedforward plus PD tracker.  The tracker's
+inverse cancels, g (u_d + g^-1 K e) = g u_d + K e, so an RK4 stage is
+affine in x plus the model's drift: one matvec, the precomputed row of
+the half step (K x_ref, and g u_d when g is constant) and f_d(x), with
+g_d(x) u_d added only when g depends on the state.  The RK4 iteration is
+the rollout's only loop: the feedforward, the disturbances, the applied
+inputs and the margins are each computed over all steps at once, one row
+per step.  The tracking certificate is exercised by
 injecting a disturbance v with ||v|| <= e(u_d) on top of the integrated
 state; the monitor then checks the state polytope and the input bound
 ||u|| <= u_max at every step.
@@ -58,6 +61,15 @@ def _tracker_gains(gamma: int, kp: float, kd: float) -> np.ndarray:
     return gains
 
 
+def _box(cs: ConstraintSet):
+    """Centre and half widths of C_X's bounding box.  A coordinate that
+    C_X leaves unbounded has half width inf and centre 0 (not inf - inf)."""
+    lo, hi = cs.bounding_box()
+    half = 0.5 * (hi - lo)
+    bounded = np.isfinite(half)
+    return 0.5 * (np.where(bounded, lo, 0.0) + np.where(bounded, hi, 0.0)), half
+
+
 def feedback_gain(model: PlanningModel, cs: ConstraintSet, kp: float, kd: float) -> float:
     """Bound over C_X on the gain from tracking error to the tracker's
     feedback g^-1(x) K (x_ref - x): (sum |gains|) * sup ||g^-1(x)||.  The
@@ -65,10 +77,10 @@ def feedback_gain(model: PlanningModel, cs: ConstraintSet, kp: float, kd: float)
     of C_X's bounding box, as each entry of g^-1 moves by at most L_G
     per unit of ||x - c||.  The certificate's input row charges this
     feedback as L_k * e, so it is sound only if the bound is <= L_k."""
-    lo, hi = cs.bounding_box()
-    sup = np.linalg.norm(np.linalg.inv(model.g_d(0.5 * (lo + hi))), np.inf)
+    center, half = _box(cs)
+    sup = np.linalg.norm(np.linalg.inv(model.g_d(center)), np.inf)
     if model.lipschitz_ginv:  # a constant g needs no radius, even an infinite one
-        sup += model.m * model.lipschitz_ginv * 0.5 * np.max(hi - lo)
+        sup += model.m * model.lipschitz_ginv * np.max(half)
     return float(np.sum(np.abs(_tracker_gains(model.gamma, kp, kd))) * sup)
 
 
@@ -135,9 +147,8 @@ def rollout(
     gains = _tracker_gains(model.gamma, kp, kd)
     rng = np.random.default_rng(seed)
 
-    lo, hi = cs.bounding_box()
-    center = 0.5 * (lo + hi)
-    half = 0.5 * (hi - lo)
+    # center +- 10 half, so both sides are infinite where C_X is unbounded.
+    center, half = _box(cs)
     safe_lo, safe_hi = center - 10.0 * half, center + 10.0 * half
 
     # Reference and feedforward on the half-step grid for the RK4 stages,
@@ -146,16 +157,36 @@ def rollout(
     x_ref_half = trajectory.sample_states(t_half).T
     ud_half = flat_input(model, x_ref_half, trajectory.sample_q_gamma(t_half).T)
 
-    def closed_loop(x, j):
-        # g (u_d + g^-1 fb) = g u_d + fb: the tracker's inverse cancels.
-        dx = model.state_derivative(x, ud_half[j])
-        dx[-model.m :] += gains @ (x_ref_half[j] - x).reshape(model.gamma, model.m)
+    # A stage is dx = A x + b[j] + (0, f_d(x)): the chain shift and -K in
+    # A, K x_ref (and g u_d when g is constant) in b, one row per half step.
+    m = model.m
+    K = np.kron(gains, np.eye(m))
+    A = np.zeros((model.n, model.n))
+    A[:-m, m:] = np.eye(model.n - m)
+    A[-m:] = -K
+    b = np.zeros_like(x_ref_half)
+    b[:, -m:] = x_ref_half @ K.T
+    g = model.g_d(x_ref_half)
+    if g.ndim == 2:  # one (m, m) matrix: g is constant
+        b[:, -m:] += ud_half @ g.T
+
+    def drift_stage(x, j):
+        dx = A @ x + b[j]
+        dx[-m:] += model.f_d(x)
         return dx
 
+    def actuated_stage(x, j):
+        dx = drift_stage(x, j)
+        dx[-m:] += model.g_d(x) @ ud_half[j]
+        return dx
+
+    stage = drift_stage if g.ndim == 2 else actuated_stage
     x = x_ref_half[0] if x0 is None else np.asarray(x0, dtype=float)
+    if x.shape != (model.n,):
+        raise ValueError(f"x0 has shape {x.shape}; expected ({model.n},)")
     x_sim = np.empty((steps + 1, model.n))
     x_sim[0] = x
-    for i, x in enumerate(rk4(closed_loop, x, total / steps, steps), start=1):
+    for i, x in enumerate(rk4(stage, x, total / steps, steps), start=1):
         # Written so that a NaN state fails it too.
         if not ((safe_lo <= x) & (x <= safe_hi)).all():
             raise DivergenceError(f"state {x} left the safety box at t={t_grid[i]}")

@@ -1,5 +1,8 @@
 """Closed-loop rollout and constraint monitoring."""
 
+import dataclasses
+import warnings
+
 import numpy as np
 import pytest
 
@@ -125,6 +128,33 @@ def test_nan_state_raises_divergence():
     traj = hold_trajectory(np.zeros(2))
     with pytest.raises(DivergenceError):
         rollout(model, traj, cs, TrackingCertificate.exact(), x0=np.array([np.nan, 0.0]))
+
+
+def test_unbounded_state_set_gets_an_unbounded_safety_side():
+    # C_X bounds x only from above, or leaves x1 free on both sides: the
+    # safety box is infinite on those coordinates, with no inf - inf
+    # warning, and a NaN state still fails it.
+    model = integrator_chain(2, 1)
+    traj = hold_trajectory(np.zeros(2))
+    for C, d in (([[1.0, 0.0], [0.0, 1.0]], [1.0, 1.0]),
+                 ([[1.0, 0.0], [-1.0, 0.0]], [1.0, 1.0])):
+        cs = ConstraintSet(C, d, u_max=2.0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            res = rollout(model, traj, cs, TrackingCertificate.exact())
+            assert not res.violation
+            with pytest.raises(DivergenceError):
+                rollout(model, traj, cs, TrackingCertificate.exact(),
+                        x0=np.array([0.0, np.nan]))
+
+
+def test_x0_of_the_wrong_shape_is_refused():
+    model = integrator_chain(2, 1)
+    cs = box_constraints([-1, -1], [1, 1], 1.0)
+    traj = hold_trajectory(np.zeros(2))
+    for x0 in (np.zeros((1, 2)), np.zeros(3), np.zeros(1), 0.0):
+        with pytest.raises(ValueError, match=r"x0 has shape"):
+            rollout(model, traj, cs, TrackingCertificate.exact(), x0=x0)
 
 
 def test_rk4_convergence_order():
@@ -424,3 +454,57 @@ def test_rollout_matches_per_step_loop(case, policy):
             assert got.shape == ref.shape
             assert np.max(np.abs(got - ref)) <= 1e-12
         assert res.violation == (not passed)
+
+
+def per_state_actuation(model):
+    """The model with its constant g_d returned once per state, so that
+    rollout cannot tell it is constant and takes the per-stage form."""
+    G = model.g_d(np.zeros(model.n))
+    return dataclasses.replace(
+        model, g_d=lambda x: np.broadcast_to(G, np.shape(x)[:-1] + G.shape))
+
+
+def sheared_case():
+    """integrator_chain(2, 2)'s case with the constant, non-symmetric
+    g = [[1, 0.5], [0, 1]], whose g^-1 needs L_k >= 1.5."""
+    model, cs, cert, traj = row_cases()[2]
+    G = np.array([[1.0, 0.5], [0.0, 1.0]])
+    return (dataclasses.replace(model, g_d=lambda x: G),
+            cs, dataclasses.replace(cert, lipschitz_k=1.5), traj)
+
+
+@pytest.mark.parametrize("policy", sim.DISTURBANCE_POLICIES)
+@pytest.mark.parametrize("case", ["pendulum", "integrator2x2", "sheared2x2"])
+def test_constant_and_per_stage_actuation_agree(case, policy):
+    # g u_d folded into the half-step rows against g_d(x) u_d per stage.
+    cases = row_cases()
+    model, cs, cert, traj = {"pendulum": cases[0], "integrator2x2": cases[2],
+                             "sheared2x2": sheared_case()}[case]
+    for scale in (1.0, 8.0):
+        got = rollout(model, traj, cs, cert, disturbance=policy, seed=3,
+                      disturbance_scale=scale)
+        ref = rollout(per_state_actuation(model), traj, cs, cert, disturbance=policy,
+                      seed=3, disturbance_scale=scale)
+        for field in ("x_sim", "x_cl", "u"):
+            assert np.max(np.abs(getattr(got, field) - getattr(ref, field))) <= 1e-12
+        assert got.violation == ref.violation
+
+
+def test_constant_actuation_is_not_evaluated_per_step():
+    # A constant g_d is evaluated a fixed number of times per rollout,
+    # whatever the step count; the per-stage form would take 4 per step.
+    model, cs, cert, traj = row_cases()[0]
+    calls = []
+
+    def counted(x):
+        calls.append(1)
+        return model.g_d(x)
+
+    counted_model = dataclasses.replace(model, g_d=counted)
+    dt = traj.total_duration / 500.0
+    counts = []
+    for step in (dt, dt / 4):
+        calls.clear()
+        rollout(counted_model, traj, cs, cert, dt=step)
+        counts.append(len(calls))
+    assert counts[0] == counts[1]
