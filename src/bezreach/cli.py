@@ -99,6 +99,15 @@ def _number(cfg, path, default=_SENTINEL):
     return x
 
 
+def _integer(cfg, path, default=_SENTINEL):
+    """A whole number, read exactly: a JSON integer stays as it is (a large
+    one is not rounded through a float), and a float must be integral."""
+    v = _get(cfg, path, default=default)
+    if isinstance(v, bool) or not (isinstance(v, int) or isinstance(v, float) and v.is_integer()):
+        raise ConfigError(path, f"expected an integer, got {v!r}")
+    return int(v)
+
+
 def _has_bool(v) -> bool:
     """Whether a JSON value holds a boolean anywhere in its nested lists
     (NumPy would read it as 0 or 1)."""
@@ -131,24 +140,27 @@ def build_model(cfg: dict):
     if kind == "pendulum":
         return pendulum_model(*_pendulum_params(cfg))
     if kind == "integrator":
-        return integrator_chain(
-            int(_number(cfg, "model.gamma")), int(_number(cfg, "model.m"))
-        )
+        return integrator_chain(_integer(cfg, "model.gamma"), _integer(cfg, "model.m"))
     raise ConfigError("model.kind", f"unknown model kind {kind!r}")
 
 
+def _build(section: str, factory, *args, **kwargs):
+    """factory(*args, **kwargs), its ValueError a config error on `section`."""
+    try:
+        return factory(*args, **kwargs)
+    except ValueError as exc:
+        raise ConfigError(section, str(exc)) from exc
+
+
 def build_certificate(cfg: dict) -> TrackingCertificate:
-    values = dict(
+    return _build(
+        "certificate", TrackingCertificate,
         e0=_number(cfg, "certificate.e0"),
         lipschitz_e=_number(cfg, "certificate.lipschitz_e", 0.0),
         lipschitz_pi=_number(cfg, "certificate.lipschitz_pi", 1.0),
         lipschitz_psi=_number(cfg, "certificate.lipschitz_psi", 1.0),
         lipschitz_k=_number(cfg, "certificate.lipschitz_k", 1.0),
     )
-    try:
-        return TrackingCertificate(**values)
-    except ValueError as exc:
-        raise ConfigError("certificate", str(exc)) from exc
 
 
 def build_constraints(cfg: dict) -> ConstraintSet:
@@ -157,26 +169,19 @@ def build_constraints(cfg: dict) -> ConstraintSet:
     if "W" in cfg["constraints"]:
         raise ConfigError("constraints.W", "option removed; the input bound is "
                           "max_j |u_j| <= u_max")
-    u_max = _number(cfg, "constraints.u_max")
-    try:
-        return ConstraintSet(C, d, u_max=u_max)
-    except ValueError as exc:
-        raise ConfigError("constraints", str(exc)) from exc
+    return _build("constraints", ConstraintSet, C, d, u_max=_number(cfg, "constraints.u_max"))
 
 
 def build_spec(cfg: dict, model, cert, cs) -> ReachSpec:
-    values = dict(
-        order=int(_number(cfg, "curve.order")),
+    return _build(
+        "curve", ReachSpec, model=model, cert=cert, cs=cs,
+        order=_integer(cfg, "curve.order"),
         horizon=_number(cfg, "curve.horizon"),
-        refinement=int(_number(cfg, "curve.refinement", 1)),
+        refinement=_integer(cfg, "curve.refinement", 1),
         reference_policy=_get(cfg, "curve.reference_policy", str, "fixed"),
         x_ref=_vector(cfg, "curve.x_ref", None),
         q_gamma_bound=_number(cfg, "curve.q_gamma_bound", None),
     )
-    try:
-        return ReachSpec(model=model, cert=cert, cs=cs, **values)
-    except ValueError as exc:
-        raise ConfigError("curve", str(exc)) from exc
 
 
 def _finish(out: Path, cfg: dict, command: str, seed, files: list[str], t0: float, extra=None):
@@ -239,9 +244,9 @@ def _write_summary(out: Path, report, **extra) -> None:
 def cmd_matrices(cfg: dict, out: Path, seed: int) -> int:
     t0 = time.perf_counter()
     model = build_model(cfg)
-    p = int(_number(cfg, "curve.order"))
+    p = _integer(cfg, "curve.order")
     T = _number(cfg, "curve.horizon")
-    k = int(_number(cfg, "curve.refinement", 1))
+    k = _integer(cfg, "curve.refinement", 1)
     files = []
 
     def emit(name, M):
@@ -271,7 +276,7 @@ def cmd_reach(cfg: dict, out: Path, seed: int) -> int:
     if direction not in ("forward", "backward"):
         raise ConfigError("reach.direction", "must be 'forward' or 'backward'")
     anchor = _vector(cfg, "reach.anchor")
-    count = int(_number(cfg, "reach.samples", 500))
+    count = _integer(cfg, "reach.samples", 500)
     poly = (
         spec.forward_polytope(anchor)
         if direction == "forward"
@@ -298,7 +303,7 @@ def cmd_reach(cfg: dict, out: Path, seed: int) -> int:
 def _planner_vertices(cfg: dict, model, seed: int):
     lo = _vector(cfg, "planner.bounds.lo")
     hi = _vector(cfg, "planner.bounds.hi")
-    count = int(_number(cfg, "planner.count"))
+    count = _integer(cfg, "planner.count")
     start = _vector(cfg, "planner.start")
     goal = _vector(cfg, "planner.goal")
     include = [start]
@@ -323,7 +328,7 @@ def _planner_vertices(cfg: dict, model, seed: int):
             hop = 2.0 * _number(cfg, "curve.horizon")
             wps = controlled_waypoints(
                 model, start, ctrl, hop,
-                max_hops=int(_number(cfg, "planner.waypoints.max_hops", 400)),
+                max_hops=_integer(cfg, "planner.waypoints.max_hops", 400),
                 stop=near_upright,
             )
             include.extend(list(wps[1:]))
@@ -353,11 +358,7 @@ def cmd_plan(cfg: dict, out: Path, seed: int) -> int:
         return EXIT_INFEASIBLE
     verts, i_start, i_goal = _planner_vertices(cfg, model, seed)
     graph = build_graph(verts, spec, seed=seed)
-    try:
-        path = search(graph, i_start, i_goal)
-    except UnreachableGoalError as exc:
-        print(f"planning infeasible: {exc}", file=sys.stderr)
-        return EXIT_INFEASIBLE
+    path = search(graph, i_start, i_goal)
     traj = extract_trajectory(graph, path)
 
     res = _rollout(cfg, model, traj, cs, cert, seed, gains)
@@ -367,8 +368,7 @@ def cmd_plan(cfg: dict, out: Path, seed: int) -> int:
              "summary.json"]
     artifacts.write_json(out / "graph.json", graph.to_json_dict())
     artifacts.write_json(out / "trajectory.json", traj.to_json_dict())
-    ts = np.linspace(0.0, traj.total_duration,
-                     int(_number(cfg, "output.trajectory_samples", 400)))
+    ts = np.linspace(0.0, traj.total_duration, _integer(cfg, "output.trajectory_samples", 400))
     states = traj.sample_states(ts)
     qg = traj.sample_q_gamma(ts)
     artifacts.write_csv(
@@ -454,13 +454,13 @@ def main(argv=None) -> int:
         return EXIT_CONFIG
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    seed = args.seed if args.seed is not None else int(_get(cfg, "seed", default=0))
     try:
+        seed = args.seed if args.seed is not None else _integer(cfg, "seed", 0)
         return COMMANDS[args.command](cfg, out, seed)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    except (InfeasibleCertificateError, InfeasibleReductionError) as exc:
+    except (InfeasibleCertificateError, InfeasibleReductionError, UnreachableGoalError) as exc:
         print(f"planning infeasible: {exc}", file=sys.stderr)
         return EXIT_INFEASIBLE
     # Before ValueError: np.linalg.LinAlgError subclasses it.

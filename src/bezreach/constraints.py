@@ -62,14 +62,13 @@ class CertificatePolytope:
     G: np.ndarray
 
     def accepts(self, points: np.ndarray, tol: float = 1e-8) -> bool:
-        vec = np.asarray(points, dtype=float).reshape(-1, order="F")
-        return bool(np.all(self.F @ vec <= self.G + tol))
+        return self.slack(points) >= -tol
 
     def slack(self, points: np.ndarray) -> float:
         """min(G - F vec(p)): how far the curve stays inside the
-        certificate (negative when a row is violated)."""
+        certificate (negative when a row is violated, inf with no rows)."""
         vec = np.asarray(points, dtype=float).reshape(-1, order="F")
-        return float(np.min(self.G - self.F @ vec))
+        return float(np.min(self.G - self.F @ vec, initial=np.inf))
 
 
 def input_bound_row(
@@ -244,7 +243,8 @@ def _lift_plan_cached(key: tuple, n: int, m: int, L_f: float, L_G: float):
             h_blocks.append(np.array([b]))
             start += 1
             continue
-        M = 0.5 * a3 * np.array([[2.0 * L_G * L_f, L_G], [L_G, 0.0]])
+        # ||g^-1(x) - g^-1(x_ref)|| <= m L_G ||x - x_ref||: L_G is entrywise.
+        M = 0.5 * a3 * np.array([[2.0 * m * L_G * L_f, m * L_G], [m * L_G, 0.0]])
         M_hat = _psd_projection_2x2(M)
         M_hat.flags.writeable = False
         norm_rows.append((idx, start, not np.any(a1), a2, a3, b, M_hat))

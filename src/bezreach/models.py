@@ -2,8 +2,12 @@
 
 A planning model is a gamma-chain of integrators whose top derivative is
 control affine: q^(gamma) = f_d(x) + g_d(x) u.  Models are immutable
-evaluators with analytically supplied Lipschitz constants (infinity norm
-over the state constraint set); a sampling validator cross-checks them.
+evaluators with analytically supplied Lipschitz constants over the state
+constraint set, both per unit of ||x - y|| (infinity norm): L_f
+(`lipschitz_f`) bounds ||f_d(x) - f_d(y)|| and L_G (`lipschitz_ginv`)
+bounds each entry of g_d(x)^-1 - g_d(y)^-1, so every layer charges
+||g_d^-1|| a change of at most m L_G; a sampling validator cross-checks
+both.
 Every model map acts row-wise on states of shape (..., n): `f_d` returns
 (..., m) and `g_d` matrices that broadcast against (..., m, m), so a
 constant actuation returns its one (m, m) matrix.  `rk4` is the one

@@ -16,12 +16,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import lp
-from .bezier import (
-    BezierCurve,
-    basis_matrix,
-    derivative_map,
-    state_matrix,
-)
+from .bezier import BezierCurve, basis_matrix, derivative_powers
 from .models import rk4
 from .reachability import ReachSpec
 
@@ -212,9 +207,10 @@ class PlannedTrajectory:
         self._state_mats = []
         self._qgamma_pts = []
         for seg in self.segments:
-            H = derivative_map(seg.order, seg.duration)
-            self._state_mats.append(state_matrix(seg.points, self.gamma, seg.duration))
-            self._qgamma_pts.append(seg.points @ np.linalg.matrix_power(H, self.gamma))
+            # points @ H^0 .. H^gamma: the state stack, then q^(gamma).
+            *state, top = seg.points @ derivative_powers(seg.order, seg.duration, self.gamma + 1)
+            self._state_mats.append(np.vstack(state))
+            self._qgamma_pts.append(top)
         for Pa, Pb in zip(self._state_mats, self._state_mats[1:]):
             if np.max(np.abs(Pa[:, -1] - Pb[:, 0])) > 1e-8:
                 raise ValueError("segments are not C^(gamma-1) continuous")

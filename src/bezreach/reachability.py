@@ -62,10 +62,14 @@ class ReachSpec:
     def __post_init__(self):
         if self.reference_policy not in REFERENCE_POLICIES:
             raise ValueError(f"unknown reference policy {self.reference_policy!r}")
+        if not (isinstance(self.refinement, (int, np.integer)) and self.refinement >= 1):
+            raise ValueError(f"refinement must be an integer >= 1, got {self.refinement!r}")
         if self.reference_policy == "fixed":
             if self.x_ref is None:
                 raise ValueError("fixed reference policy needs x_ref")
             self.x_ref = np.asarray(self.x_ref, dtype=float).reshape(-1)
+            if self.x_ref.shape != (self.n,):
+                raise ValueError(f"x_ref has {self.x_ref.size} entries, the state has {self.n}")
         if self.q_gamma_bound is None:
             self.q_gamma_bound = default_q_gamma_bound(self.model, self.cs)
         self._D = boundary_matrix(self.order, self.model.gamma, self.horizon)

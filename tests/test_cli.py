@@ -538,3 +538,72 @@ def test_reach_backward_writes_the_backward_set(tmp_path):
     rows = [line.split(" <= ") for line in text.splitlines()]
     assert np.array_equal([[float(v) for v in a.split()] for a, _ in rows], poly.A)
     assert np.array_equal([float(b) for _, b in rows], poly.b)
+
+
+@pytest.mark.parametrize("command", ["matrices", "reach", "plan"])
+@pytest.mark.parametrize("key, value", [
+    # Before: "x", null and [1] ended in a traceback; 1.5 and true ran with
+    # seed 1; 3.9 ran with order 3 and 2.5 with gamma 2.
+    ("seed", "x"), ("seed", None), ("seed", [1]), ("seed", 1.5), ("seed", True),
+    ("curve.order", 3.9), ("curve.refinement", 1.5), ("model.gamma", 2.5),
+    ("model.m", True), ("model.m", "1"),
+])
+def test_integer_keys_refuse_what_is_not_an_integer(tmp_path, capsys, command, key, value):
+    base = INTEGRATOR_PLAN if command == "plan" else INTEGRATOR_REACH
+    cfg = write_config(tmp_path, with_key(base, key, value))
+    out = tmp_path / "o"
+    assert cli.main([command, "--config", cfg, "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert f"{key}: expected an integer" in err
+    assert not (out / "metadata.json").exists()
+
+
+@pytest.mark.parametrize("command, key, value", [
+    ("reach", "reach.samples", 20.5),
+    ("plan", "planner.count", 2.5),
+    ("plan", "output.trajectory_samples", float("nan")),
+    ("plan", "planner.waypoints.max_hops", 3.5),
+])
+def test_command_integer_keys_refuse_what_is_not_an_integer(tmp_path, capsys, command,
+                                                            key, value):
+    base = INTEGRATOR_PLAN if command == "plan" else INTEGRATOR_REACH
+    if key == "planner.waypoints.max_hops":
+        base = with_key(PENDULUM_BLOCKS, "planner", {
+            "bounds": {"lo": [-1.0, -7.5], "hi": [2 * np.pi + 1, 7.5]}, "count": 2,
+            "start": [np.pi, 0.0], "goal": [2 * np.pi, 0.0],
+            "waypoints": {"kind": "pendulum-energy", "u_pump": 0.04, "u_catch": 0.15}})
+    cfg = write_config(tmp_path, with_key(base, key, value))
+    assert cli.main([command, "--config", cfg, "--out", str(tmp_path / "o")]) == 2
+    assert f"{key}: expected an integer" in capsys.readouterr().err
+
+
+def test_integer_keys_are_read_exactly(tmp_path):
+    # A JSON integer beyond 2**53 is kept as it is, not rounded through a
+    # float, and an integral float reads as its integer.
+    seed = 2**70 + 1
+    out = {}
+    for name, doc in (("int", with_key(INTEGRATOR_REACH, "seed", seed)),
+                      ("float", with_key(with_key(INTEGRATOR_REACH, "seed", seed),
+                                         "curve.order", 3.0))):
+        out[name] = tmp_path / name
+        assert cli.main(["reach", "--config", write_config(tmp_path, doc),
+                         "--out", str(out[name])]) == 0
+        assert json.loads((out[name] / "metadata.json").read_text())["seed"] == seed
+    for name in ("polytope.txt", "cloud.csv", "cloud.svg"):
+        assert (out["int"] / name).read_bytes() == (out["float"] / name).read_bytes()
+
+
+@pytest.mark.parametrize("command", ["reach", "plan"])
+@pytest.mark.parametrize("key, value, message", [
+    # Before: an IndexError at refs[0], and NumPy broadcast messages that
+    # named no key.
+    ("curve.refinement", 0, "refinement must be an integer >= 1"),
+    ("curve.refinement", -1, "refinement must be an integer >= 1"),
+    ("curve.x_ref", [0.0, 0.0, 0.0], "x_ref has 3 entries"),
+])
+def test_spec_errors_are_config_errors_on_curve(tmp_path, capsys, command, key, value,
+                                                message):
+    base = INTEGRATOR_PLAN if command == "plan" else INTEGRATOR_REACH
+    cfg = write_config(tmp_path, with_key(base, key, value))
+    assert cli.main([command, "--config", cfg, "--out", str(tmp_path / "o")]) == 2
+    assert f"curve: {message}" in capsys.readouterr().err

@@ -29,11 +29,13 @@ from bezreach.constraints import (
 )
 from bezreach.models import (
     ConstraintSet,
+    PlanningModel,
     TrackingCertificate,
     flat_input,
     integrator_chain,
     pendulum_model,
     rk4,
+    validate_lipschitz,
 )
 
 
@@ -534,6 +536,39 @@ def test_lift_infeasible_box_raises():
         lift_rows([row], model, np.zeros(2), np.array([1.0, 1.0]))
 
 
+def test_lift_charges_the_entrywise_slope_of_g_inverse_m_times():
+    # L_G bounds the slope of each entry of g^-1, so over m inputs the
+    # matrix norm of g^-1 moves by up to m L_G.  A sheared two-input
+    # model whose constant validate_lipschitz accepts: every point inside
+    # the lifted input row must keep ||g^-1(x_d) q|| <= b.  Charging only
+    # L_G admitted x_d = (1, 0), q = (3, 3), whose input is 4.5 > 4.
+    L = 0.25
+
+    def g_inv(x):
+        x0 = np.asarray(x, dtype=float)[..., 0]
+        G = np.zeros(x0.shape + (2, 2))
+        G[..., 0, 0] = 1.0 + L * x0
+        G[..., 0, 1] = L * x0
+        G[..., 1, 1] = 1.0
+        return G
+
+    model = PlanningModel(gamma=1, m=2, f_d=lambda x: np.zeros(np.shape(x)[:-1] + (2,)),
+                          g_d=lambda x: np.linalg.inv(g_inv(x)), lipschitz_f=0.0,
+                          lipschitz_ginv=L, name="sheared")
+    cs = box_constraints([-1, -1], [1, 1], 4.0)
+    assert validate_lipschitz(model, cs)
+    lifted = lift_rows([MixedConstraintRow(np.zeros(2), 0.0, 1.0, 4.0)], model,
+                       np.zeros(2), np.array([1.0, 5.0]))
+    t1, t2, sign = np.meshgrid(np.linspace(0.0, 1.0, 41), np.linspace(0.0, 5.0, 201),
+                               [1.0, -1.0], indexing="ij")
+    x_d = np.stack([sign * t1, np.zeros_like(t1)], axis=-1).reshape(-1, 2)
+    q = np.stack([t2, t2], axis=-1).reshape(-1, 2)
+    inside = np.all(np.hstack([x_d, q]) @ lifted.L.T <= lifted.h, axis=1)
+    assert inside.sum() > 100
+    u = (g_inv(x_d[inside]) @ q[inside][..., None])[..., 0]
+    assert np.abs(u).max() <= 4.0
+
+
 def test_sigma_box_positive_and_finite():
     model = pendulum_model(0.5, 1.0, 9.81)
     cs = box_constraints([-1, -2], [1, 2], 3.0)
@@ -550,6 +585,35 @@ def test_empty_lift_accepts_everything():
     cert = refined_polytope([lifted], 3, 1.0, 2, 1)
     assert cert.F.shape[0] == 0
     assert cert.accepts(np.random.default_rng(0).normal(size=(1, 4)))
+
+
+def test_accepts_is_slack_within_tolerance():
+    # accepts(p, tol) reads slack: on random curves near a certificate's
+    # boundary, on NaN points (neither accepted), and on a certificate
+    # with no rows (slack inf, so every curve is accepted).
+    model = integrator_chain(2, 1)
+    cs = box_constraints([-1, -1], [1, 1], 2.0)
+    rows = [input_bound_row(TrackingCertificate.exact(), np.zeros(2), 2.0)]
+    rows += state_bound_rows(cs, TrackingCertificate.exact())
+    lifted = lift_rows(rows, model, np.zeros(2), np.array([1.0, 2.0]))
+    empty = LiftedLinearConstraints(L=np.zeros((0, 3)), h=np.zeros(0))
+    rng = np.random.default_rng(7)
+    for cert in (refined_polytope([lifted], 3, 1.0, 2, 1),
+                 refined_polytope([empty], 3, 1.0, 2, 1)):
+        curves = [rng.uniform(-1.0, 1.0, size=(1, 4)) * rng.uniform(0.0, 0.6)
+                  for _ in range(300)]
+        curves += [np.array([[0.0, np.nan, 0.0, 0.0]]), np.full((1, 4), np.nan)]
+        verdicts = set()
+        for P in curves:
+            for tol in (0.0, 1e-8, 0.1):
+                got = cert.accepts(P, tol)
+                assert got == (cert.slack(P) >= -tol)
+                verdicts.add(got)
+        if cert.F.shape[0]:
+            assert verdicts == {True, False}
+            assert not cert.accepts(curves[-1], np.inf)
+        else:
+            assert cert.slack(curves[0]) == np.inf and cert.accepts(curves[0], 0.0)
 
 
 def test_polytope_equals_per_point_enumeration():

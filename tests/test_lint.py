@@ -151,3 +151,18 @@ def test_range_checks_refuse_nan():
                        for left, op, right in zip(terms, cmp.ops, terms[1:])):
                     found.append(f"{path.name}:{cmp.lineno}")
     assert not found, f"range checks that let NaN through: {found}"
+
+
+def test_cli_reads_integers_without_truncating():
+    # `int(_number(...))` rounds a large integer through a float and
+    # truncates 3.9 to 3; `int(_get(...))` turns true into 1 and raises a
+    # bare TypeError on null.  Integer keys go through `cli._integer`.
+    found = [
+        f"cli.py:{node.lineno}"
+        for node in ast.walk(ast.parse((SRC / "cli.py").read_text()))
+        if isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+        and node.func.id == "int" and node.args and isinstance(node.args[0], ast.Call)
+        and isinstance(node.args[0].func, ast.Name)
+        and node.args[0].func.id in ("_number", "_get")
+    ]
+    assert not found, f"integers read through int(...) of a config reader: {found}"

@@ -613,6 +613,24 @@ def test_trajectory_sampling_matches_pointwise_eval():
         assert np.allclose(Q[:, i], values[-1], atol=1e-10)
 
 
+@pytest.mark.parametrize("gamma", [1, 2, 3])
+def test_trajectory_matrices_equal_the_per_power_construction(gamma):
+    # One derivative stack per segment gives, bit for bit, the state
+    # matrix and the q^(gamma) points built power by power.
+    from bezreach.bezier import BezierCurve, derivative_map, state_matrix
+
+    rng = np.random.default_rng(gamma)
+    for p in range(3, 9):
+        for m in (1, 2):
+            T = rng.uniform(0.1, 2.0)
+            seg = BezierCurve(T, rng.normal(size=(m, p + 1)))
+            traj = PlannedTrajectory([seg], gamma=gamma)
+            H = derivative_map(p, T)
+            assert np.array_equal(traj._state_mats[0], state_matrix(seg.points, gamma, T))
+            assert np.array_equal(traj._qgamma_pts[0],
+                                  seg.points @ np.linalg.matrix_power(H, gamma))
+
+
 def test_sampling_an_empty_trajectory_is_an_error():
     traj = PlannedTrajectory([], gamma=2)
     with pytest.raises(ValueError, match="empty trajectory"):

@@ -415,3 +415,18 @@ def test_volume_estimate_rejects_unbounded_and_non_2d():
 def test_volume_estimate_empty():
     empty = lp.Polytope(np.array([[1.0, 0.0], [-1.0, 0.0]]), np.array([-1.0, -1.0]))
     assert volume_estimate(empty) == 0.0
+
+
+@pytest.mark.parametrize("refinement", [0, -1, 2.5])
+def test_spec_refuses_a_refinement_that_is_not_a_positive_integer(refinement):
+    with pytest.raises(ValueError, match="refinement"):
+        integrator_spec(refinement=refinement)
+
+
+@pytest.mark.parametrize("x_ref", [np.zeros(3), np.zeros(1)])
+def test_spec_refuses_a_fixed_reference_of_the_wrong_size(x_ref):
+    model = integrator_chain(2, 1)
+    cs = box_constraints([-1, -1], [1, 1], 2.0)
+    with pytest.raises(ValueError, match="x_ref"):
+        ReachSpec(model, TrackingCertificate.exact(), cs, order=3, horizon=1.0,
+                  reference_policy="fixed", x_ref=x_ref, q_gamma_bound=10.0)
